@@ -14,7 +14,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd
 
-from .core import col_seq, fbinom, fbinom_values, pyramid, triangle
+from .core import (_prefix_factorials, col_seq, fbinom, fbinom_values,
+                   pyramid, triangle)
 from .errors import InternalCheckError, NonIntegralEntryError
 from .numtheory import divisors, mobius, prime_power_base, primes_up_to
 from .sequences import Sequence, from_list
@@ -22,9 +23,14 @@ from .sequences import Sequence, from_list
 HOLDS = "holds_to_bound"
 FAILS = "fails"
 
+# the property battery in report order; property `name` is decided by `is_<name>`
+PROPERTIES = ("binomid", "divisor_chain", "divisible", "dual_gcd",
+              "gcd_sequence", "divisor_product", "multiplicative", "homomorphic")
+
 __all__ = [
     "FAILS",
     "HOLDS",
+    "PROPERTIES",
     "ClassificationReport",
     "DivisorProductProfile",
     "PerPrimeDecomposition",
@@ -70,6 +76,12 @@ def _capped(f: Sequence, bound: int) -> tuple[int, int | None, str | None]:
     return bound, None, None
 
 
+def _report(prop: str, bound: int, witness: dict | None, reduced: int | None = None,
+            note: str | None = None) -> ClassificationReport:
+    return ClassificationReport(prop, bound, HOLDS if witness is None else FAILS,
+                                witness, reduced, note)
+
+
 def is_binomid(f: Sequence, bound: int) -> ClassificationReport:
     """Is every [n k] over f an integer, for n up to the bound?
 
@@ -78,9 +90,7 @@ def is_binomid(f: Sequence, bound: int) -> ClassificationReport:
     It is cross-checked against triangle integrality; the two must agree.
     """
     eff, reduced, note = _capped(f, bound)
-    fact = [1]
-    for i in range(1, eff + 1):
-        fact.append(fact[-1] * f.term(i))
+    fact = _prefix_factorials(f, eff)
     witness = None
     for n in range(2, eff + 1):
         for k in range(1, n):
@@ -97,8 +107,7 @@ def is_binomid(f: Sequence, bound: int) -> ClassificationReport:
         and (bad[0], bad[1]) == (witness["n"], witness["k"]))
     if not agree:
         raise InternalCheckError("window criterion and triangle integrality disagree")
-    verdict = HOLDS if witness is None else FAILS
-    return ClassificationReport("binomid", bound, verdict, witness, reduced, note)
+    return _report("binomid", bound, witness, reduced, note)
 
 
 def is_binomid_at_level(f: Sequence, c: int, bound: int) -> ClassificationReport:
@@ -210,9 +219,7 @@ def is_divisor_product(f: Sequence, bound: int) -> ClassificationReport:
         if value.denominator != 1:
             witness = {"n": n, "value": value}
             break
-    verdict = HOLDS if witness is None else FAILS
-    return ClassificationReport("divisor_product", bound, verdict, witness,
-                                reduced, note)
+    return _report("divisor_product", bound, witness, reduced, note)
 
 
 def is_divisor_chain(f: Sequence, bound: int) -> ClassificationReport:
@@ -223,9 +230,7 @@ def is_divisor_chain(f: Sequence, bound: int) -> ClassificationReport:
         if f.term(n + 1) % f.term(n):
             witness = {"n": n, "f_n": f.term(n), "f_next": f.term(n + 1)}
             break
-    verdict = HOLDS if witness is None else FAILS
-    return ClassificationReport("divisor_chain", bound, verdict, witness,
-                                reduced, note)
+    return _report("divisor_chain", bound, witness, reduced, note)
 
 
 def is_divisible(f: Sequence, bound: int) -> ClassificationReport:
@@ -239,8 +244,7 @@ def is_divisible(f: Sequence, bound: int) -> ClassificationReport:
                 break
         if witness:
             break
-    verdict = HOLDS if witness is None else FAILS
-    return ClassificationReport("divisible", bound, verdict, witness, reduced, note)
+    return _report("divisible", bound, witness, reduced, note)
 
 
 def is_gcd_sequence(f: Sequence, bound: int) -> ClassificationReport:
@@ -259,9 +263,7 @@ def is_gcd_sequence(f: Sequence, bound: int) -> ClassificationReport:
                 break
         if witness:
             break
-    verdict = HOLDS if witness is None else FAILS
-    return ClassificationReport("gcd_sequence", bound, verdict, witness,
-                                reduced, note)
+    return _report("gcd_sequence", bound, witness, reduced, note)
 
 
 def is_dual_gcd(f: Sequence, bound: int) -> ClassificationReport:
@@ -276,26 +278,21 @@ def is_dual_gcd(f: Sequence, bound: int) -> ClassificationReport:
                 break
         if witness:
             break
-    verdict = HOLDS if witness is None else FAILS
-    return ClassificationReport("dual_gcd", bound, verdict, witness, reduced, note)
+    return _report("dual_gcd", bound, witness, reduced, note)
 
 
 def is_multiplicative(f: Sequence, bound: int) -> ClassificationReport:
     """f(ab) = f(a) f(b) on coprime pairs with product within the bound."""
     eff, reduced, note = _capped(f, bound)
     witness = _product_rule_witness(f, eff, coprime_only=True)
-    verdict = HOLDS if witness is None else FAILS
-    return ClassificationReport("multiplicative", bound, verdict, witness,
-                                reduced, note)
+    return _report("multiplicative", bound, witness, reduced, note)
 
 
 def is_homomorphic(f: Sequence, bound: int) -> ClassificationReport:
     """f(ab) = f(a) f(b) on all pairs with product within the bound."""
     eff, reduced, note = _capped(f, bound)
     witness = _product_rule_witness(f, eff, coprime_only=False)
-    verdict = HOLDS if witness is None else FAILS
-    return ClassificationReport("homomorphic", bound, verdict, witness,
-                                reduced, note)
+    return _report("homomorphic", bound, witness, reduced, note)
 
 
 def _product_rule_witness(f: Sequence, eff: int, coprime_only: bool) -> dict | None:
@@ -339,9 +336,8 @@ def additive_binomid_check(c: int, exponents, bound: int) -> ClassificationRepor
                 break
         if witness:
             break
-    verdict = HOLDS if witness is None else FAILS
-    return ClassificationReport("binomid_additive", bound, verdict, witness,
-                                note=f"additive criterion, base {c}")
+    return _report("binomid_additive", bound, witness,
+                   note=f"additive criterion, base {c}")
 
 
 @dataclass(frozen=True)

@@ -3,7 +3,9 @@ formatting, and the subcommands that bind the library together.
 
 Exit codes: 0 when the command succeeds (and every requested check holds),
 1 when a classification or verification fails (the witness is printed),
-2 on usage, parse, or input errors.
+2 on usage, parse, or input errors (a spec nested deeper than 100
+combinator levels is a parse error), 3 when an internal cross-check fails,
+which only an arithmetic bug can cause.
 """
 
 from __future__ import annotations
@@ -18,7 +20,8 @@ from pathlib import Path
 from . import classify as cls
 from . import verify as ver
 from .core import Pyramid, Triangle, col_seq, pyramid, row_seq, triangle
-from .errors import (NonIntegralEntryError, UndefinedTermError, ZeroTermError)
+from .errors import (InternalCheckError, NonIntegralEntryError,
+                     UndefinedTermError, ZeroTermError)
 from .sequences import (Sequence, compose_power, const_seq, divisor_product_of,
                         double_terms, factorial_seq, fibonacci, from_list,
                         g_ab, h_m, identity_seq, interleave_ones, lucas,
@@ -36,20 +39,39 @@ class SpecParseError(ValueError):
         self.offset = offset
 
 
-_BARE_ATOMS = {"I", "fact", "T", "fib"}
-_INT_ATOMS = {"const": 1, "cpow": 1, "gq": 1, "gab": 2, "lucas": 2}
-_UINT_ATOMS = {"pcol": 1, "prow": 1, "hm": 1}
-_PATH_ATOMS = {"file", "bfile"}
-_COMBINATORS = {
-    "product": ("spec", "spec"),
-    "scalar": ("int", "spec"),
-    "pow": ("uint", "spec"),
-    "P": ("spec",),
-    "col": ("uint", "spec"),
-    "row": ("uint", "spec"),
-    "prepend1": ("spec",),
-    "interleave1": ("spec",),
-    "double": ("spec",),
+_MAX_NESTING = 100  # combinator levels in one spec; an atom counts 0
+
+# name -> (argument kinds, builder). A kind with a "spec" argument is a
+# combinator written name(args), a kind without arguments is a bare atom,
+# and every other kind is an atom written name:args. "ints" is a greedy
+# list of integers. A builder takes the arguments in order, with every spec
+# already built, and looks traced functions up only when it is called.
+# bfile has no builder: it needs the offset, so SeqSpec.build handles it.
+_KINDS = {
+    "I": ((), identity_seq),
+    "fact": ((), factorial_seq),
+    "T": ((), triangular_seq),
+    "fib": ((), fibonacci),
+    "const": (("int",), const_seq),
+    "cpow": (("int",), power_seq),
+    "gq": (("int",), lambda q: g_ab(q, 1)),
+    "gab": (("int", "int"), g_ab),
+    "lucas": (("int", "int"), lucas),
+    "pcol": (("uint",), pascal_column),
+    "prow": (("uint",), pascal_row),
+    "hm": (("uint",), h_m),
+    "list": (("ints",), lambda *values: from_list(list(values))),
+    "file": (("path",), lambda path: _ingest_plain_file(path)),
+    "bfile": (("path",), None),
+    "product": (("spec", "spec"), product),
+    "scalar": (("int", "spec"), scalar),
+    "pow": (("uint", "spec"), compose_power),
+    "P": (("spec",), divisor_product_of),
+    "col": (("uint", "spec"), lambda j, f: col_seq(f, j)),
+    "row": (("uint", "spec"), lambda m, f: row_seq(f, m)),
+    "prepend1": (("spec",), prepend_one),
+    "interleave1": (("spec",), interleave_ones),
+    "double": (("spec",), double_terms),
 }
 
 
@@ -61,65 +83,24 @@ class SeqSpec:
     args: tuple = ()
 
     def canonical(self) -> str:
-        if self.kind in _BARE_ATOMS:
+        # a kind missing from the table prints as an atom
+        arg_kinds = _KINDS[self.kind][0] if self.kind in _KINDS else ("int",)
+        if not arg_kinds:
             return self.kind
-        if self.kind in _COMBINATORS:
+        if "spec" in arg_kinds:
             parts = [a.canonical() if isinstance(a, SeqSpec) else str(a)
                      for a in self.args]
             return f"{self.kind}({','.join(parts)})"
         return f"{self.kind}:{','.join(str(a) for a in self.args)}"
 
     def build(self, bfile_offset: int = 0) -> Sequence:
-        k, a = self.kind, self.args
-        if k == "I":
-            return identity_seq()
-        if k == "fact":
-            return factorial_seq()
-        if k == "T":
-            return triangular_seq()
-        if k == "fib":
-            return fibonacci()
-        if k == "const":
-            return const_seq(a[0])
-        if k == "cpow":
-            return power_seq(a[0])
-        if k == "pcol":
-            return pascal_column(a[0])
-        if k == "prow":
-            return pascal_row(a[0])
-        if k == "gq":
-            return g_ab(a[0], 1)
-        if k == "gab":
-            return g_ab(a[0], a[1])
-        if k == "lucas":
-            return lucas(a[0], a[1])
-        if k == "hm":
-            return h_m(a[0])
-        if k == "list":
-            return from_list(list(a))
-        if k == "file":
-            return _ingest_plain_file(a[0])
-        if k == "bfile":
-            return ingest_bfile(a[0], skip=bfile_offset)
-        if k == "product":
-            return product(a[0].build(bfile_offset), a[1].build(bfile_offset))
-        if k == "scalar":
-            return scalar(a[0], a[1].build(bfile_offset))
-        if k == "pow":
-            return compose_power(a[0], a[1].build(bfile_offset))
-        if k == "P":
-            return divisor_product_of(a[0].build(bfile_offset))
-        if k == "col":
-            return col_seq(a[1].build(bfile_offset), a[0])
-        if k == "row":
-            return row_seq(a[1].build(bfile_offset), a[0])
-        if k == "prepend1":
-            return prepend_one(a[0].build(bfile_offset))
-        if k == "interleave1":
-            return interleave_ones(a[0].build(bfile_offset))
-        if k == "double":
-            return double_terms(a[0].build(bfile_offset))
-        raise SpecParseError(f"unknown spec kind {k!r}", 0)
+        if self.kind == "bfile":
+            return ingest_bfile(self.args[0], skip=bfile_offset)
+        if self.kind not in _KINDS:
+            raise SpecParseError(f"unknown spec kind {self.kind!r}", 0)
+        builder = _KINDS[self.kind][1]
+        return builder(*(a.build(bfile_offset) if isinstance(a, SeqSpec) else a
+                         for a in self.args))
 
 
 class _Parser:
@@ -153,25 +134,17 @@ class _Parser:
             self.error("expected a sequence expression")
         return self.text[start:self.pos], start
 
-    def _int(self) -> int:
+    def _int(self, signed: bool = True) -> int:
         self._skip_ws()
         start = self.pos
-        if self._peek() in "+-":
+        if signed and self._peek() in "+-":
             self.pos += 1
         digits = self.pos
         while self.pos < len(self.text) and self.text[self.pos].isdigit():
             self.pos += 1
         if self.pos == digits:
-            self.error("expected an integer", start)
-        return int(self.text[start:self.pos])
-
-    def _uint(self) -> int:
-        self._skip_ws()
-        start = self.pos
-        while self.pos < len(self.text) and self.text[self.pos].isdigit():
-            self.pos += 1
-        if self.pos == start:
-            self.error("expected a nonnegative integer", start)
+            self.error("expected an integer" if signed
+                       else "expected a nonnegative integer", start)
         return int(self.text[start:self.pos])
 
     def _path(self) -> str:
@@ -197,48 +170,42 @@ class _Parser:
         self.pos = save
         return ok
 
-    def spec(self) -> SeqSpec:
-        name, start = self._ident()
-        self._skip_ws()
-        nxt = self._peek()
-        if name in _COMBINATORS and nxt == "(":
-            self.pos += 1
-            parts = []
-            for i, kind in enumerate(_COMBINATORS[name]):
-                if i:
-                    self._expect(",")
-                if kind == "spec":
-                    parts.append(self.spec())
-                elif kind == "int":
-                    parts.append(self._int())
-                else:
-                    parts.append(self._uint())
-            self._expect(")")
-            return SeqSpec(name, tuple(parts))
-        if nxt == ":":
-            if name in _INT_ATOMS:
-                self.pos += 1
-                args = [self._int()]
-                for _ in range(_INT_ATOMS[name] - 1):
-                    self._expect(",")
-                    args.append(self._int())
-                return SeqSpec(name, tuple(args))
-            if name in _UINT_ATOMS:
-                self.pos += 1
-                return SeqSpec(name, (self._uint(),))
-            if name == "list":
-                self.pos += 1
-                args = [self._int()]
+    def _args(self, arg_kinds, level: int) -> tuple:
+        args = []
+        for i, kind in enumerate(arg_kinds):
+            if i:
+                self._expect(",")
+            if kind == "spec":
+                args.append(self.spec(level))
+            elif kind == "path":
+                args.append(self._path())
+            else:
+                args.append(self._int(kind != "uint"))
+            if kind == "ints":
                 self._skip_ws()
                 while self._peek() == "," and self._int_follows():
                     self.pos += 1
                     args.append(self._int())
                     self._skip_ws()
-                return SeqSpec(name, tuple(args))
-            if name in _PATH_ATOMS:
-                self.pos += 1
-                return SeqSpec(name, (self._path(),))
-        if name in _BARE_ATOMS:
+        return tuple(args)
+
+    def spec(self, level: int = 0) -> SeqSpec:
+        """One expression, `level` combinators deep."""
+        name, start = self._ident()
+        self._skip_ws()
+        nxt = self._peek()
+        arg_kinds = _KINDS[name][0] if name in _KINDS else None
+        if arg_kinds and "spec" in arg_kinds and nxt == "(":
+            if level >= _MAX_NESTING:
+                self.error(f"spec nested deeper than {_MAX_NESTING} levels", start)
+            self.pos += 1
+            args = self._args(arg_kinds, level + 1)
+            self._expect(")")
+            return SeqSpec(name, args)
+        if arg_kinds and "spec" not in arg_kinds and nxt == ":":
+            self.pos += 1
+            return SeqSpec(name, self._args(arg_kinds, level))
+        if arg_kinds == ():
             return SeqSpec(name)
         self.error(f"unknown name {name!r}", start)
 
@@ -431,32 +398,21 @@ def _build_sequence(args) -> tuple[SeqSpec, Sequence]:
     return spec, spec.build(getattr(args, "bfile_offset", 0))
 
 
-def _cmd_triangle(args) -> int:
+def _cmd_triangle_or_pyramid(args) -> int:
     spec, seq = _build_sequence(args)
-    tri = triangle(seq, args.rows)
-    if args.format == "text":
-        print(format_triangle_text(tri))
-    elif args.format == "csv":
-        print(format_triangle_csv(tri))
+    if args.command == "triangle":
+        shape = triangle(seq, args.rows)
+        text, csv, to_json = format_triangle_text, format_triangle_csv, triangle_to_json
     else:
-        print(json.dumps(triangle_to_json(tri, spec.canonical()), indent=2))
-    return 0
-
-
-def _cmd_pyramid(args) -> int:
-    spec, seq = _build_sequence(args)
-    pyr = pyramid(seq, args.depth)
+        shape = pyramid(seq, args.depth)
+        text, csv, to_json = format_pyramid_text, format_pyramid_csv, pyramid_to_json
     if args.format == "text":
-        print(format_pyramid_text(pyr))
+        print(text(shape))
     elif args.format == "csv":
-        print(format_pyramid_csv(pyr))
+        print(csv(shape))
     else:
-        print(json.dumps(pyramid_to_json(pyr, spec.canonical()), indent=2))
+        print(json.dumps(to_json(shape, spec.canonical()), indent=2))
     return 0
-
-
-_BATTERY = ("binomid", "divisor_chain", "divisible", "dual_gcd",
-            "gcd_sequence", "divisor_product", "multiplicative", "homomorphic")
 
 
 def _cmd_classify(args) -> int:
@@ -464,30 +420,18 @@ def _cmd_classify(args) -> int:
     selected = None
     if args.only:
         selected = [name.strip() for name in args.only.split(",") if name.strip()]
-        known = set(_BATTERY) | {"binomid_every_level"}
+        known = set(cls.PROPERTIES) | {"binomid_every_level"}
         for name in selected:
             if name not in known:
                 raise ValueError(f"unknown property {name!r}; choose from "
                                  + ", ".join(sorted(known)))
         if "binomid_every_level" in selected and args.levels is None:
             raise ValueError("binomid_every_level requires --levels")
-    checks = {
-        "binomid": lambda: cls.is_binomid(seq, args.bound),
-        "divisor_chain": lambda: cls.is_divisor_chain(seq, args.bound),
-        "divisible": lambda: cls.is_divisible(seq, args.bound),
-        "dual_gcd": lambda: cls.is_dual_gcd(seq, args.bound),
-        "gcd_sequence": lambda: cls.is_gcd_sequence(seq, args.bound),
-        "divisor_product": lambda: cls.is_divisor_product(seq, args.bound),
-        "multiplicative": lambda: cls.is_multiplicative(seq, args.bound),
-        "homomorphic": lambda: cls.is_homomorphic(seq, args.bound),
-    }
-    order = list(_BATTERY)
-    if args.levels is not None:
-        checks["binomid_every_level"] = lambda: cls.is_binomid_every_level(
-            seq, args.levels, args.bound)
-        order.append("binomid_every_level")
-    reports = [checks[name]() for name in order
+    reports = [getattr(cls, "is_" + name)(seq, args.bound) for name in cls.PROPERTIES
                if selected is None or name in selected]
+    if args.levels is not None and (selected is None
+                                    or "binomid_every_level" in selected):
+        reports.append(cls.is_binomid_every_level(seq, args.levels, args.bound))
     if args.format == "json":
         print(json.dumps([report_to_json(r) for r in reports], indent=2))
     else:
@@ -524,63 +468,56 @@ def _cmd_invert(args) -> int:
 
 
 def _print_check(result: ver.CheckResult) -> int:
-    if result.ok:
-        line = f"PASS {result.check}"
-        if result.witness:
-            line += ": " + ", ".join(f"{k}={_fmt_exact(v)}"
-                                     for k, v in result.witness.items())
-        print(line)
-        return 0
-    line = f"FAIL {result.check} ({result.status})"
+    line = f"{'PASS' if result.ok else 'FAIL'} {result.check}"
+    if not result.ok:
+        line += f" ({result.status})"
     if result.witness:
         line += ": " + ", ".join(f"{k}={_fmt_exact(v)}"
                                  for k, v in result.witness.items())
     print(line)
-    return 1
+    return 0 if result.ok else 1
 
 
-def _cmd_verify_symmetry(args) -> int:
-    _, seq = _build_sequence(args)
-    return _print_check(ver.check_symmetry(seq))
+# (check, help, takes a spec, integer options with their defaults, runner);
+# a default of ... marks a required option. A runner gets the parsed
+# arguments and the built sequence (None without a spec) and returns a
+# CheckResult, or an ExponentVector to print as a monomial.
+_VERIFY = (
+    ("symmetry", "3-fold rotation of a palindromic triangle", True, {},
+     lambda a, f: ver.check_symmetry(f)),
+    ("slice-identity", "columns appear as pyramid slices", True,
+     {"n_max": 6, "m_max": 4, "k_max": 6},
+     lambda a, f: ver.check_slice_identity(f, a.n_max, a.m_max, a.k_max)),
+    ("determinant", "binomial determinant identity", False,
+     {"n": ..., "m": ..., "k": ...},
+     lambda a, f: ver.check_determinant_identity(a.n, a.m, a.k)),
+    ("recurrence", "two-term recurrence step identity", True,
+     {"n": ..., "k": ..., "u": None, "v": None},
+     lambda a, f: ver.check_recurrence_step(f, a.n, a.k, a.u, a.v)),
+    ("hm", "factorial and binomial identity for comb(mx, m)", False,
+     {"m": ..., "n": ..., "k": ...},
+     lambda a, f: ver.check_hm_identity(a.m, a.n, a.k)),
+    ("delta-pattern", "zeros-then-ones pattern of delta", False,
+     {"m": ..., "r": ..., "length": ...},
+     lambda a, f: ver.check_delta_pattern(a.m, a.r, a.length)),
+    ("window-minimality", "initial window is minimal", False,
+     {"m": ..., "r": ..., "n_max": 18, "a_max": 18},
+     lambda a, f: ver.check_window_minimality(a.m, a.r, a.n_max, a.a_max)),
+    ("pyramid-entry", "generic column-entry exponents", False,
+     {"m": ..., "n": ..., "k": ...},
+     lambda a, f: ver.generic_pyramid_entry(a.m, a.n, a.k)),
+    ("factorial-exponents", "generic factorial exponents", False,
+     {"n": ...},
+     lambda a, f: ver.generic_factorial_exponents(a.n)),
+)
 
 
-def _cmd_verify_slice(args) -> int:
-    _, seq = _build_sequence(args)
-    return _print_check(ver.check_slice_identity(seq, args.n_max, args.m_max,
-                                                 args.k_max))
-
-
-def _cmd_verify_determinant(args) -> int:
-    return _print_check(ver.check_determinant_identity(args.n, args.m, args.k))
-
-
-def _cmd_verify_recurrence(args) -> int:
-    _, seq = _build_sequence(args)
-    return _print_check(ver.check_recurrence_step(seq, args.n, args.k,
-                                                  args.u, args.v))
-
-
-def _cmd_verify_hm(args) -> int:
-    return _print_check(ver.check_hm_identity(args.m, args.n, args.k))
-
-
-def _cmd_verify_delta(args) -> int:
-    return _print_check(ver.check_delta_pattern(args.m, args.r, args.length))
-
-
-def _cmd_verify_window(args) -> int:
-    return _print_check(ver.check_window_minimality(args.m, args.r,
-                                                    args.n_max, args.a_max))
-
-
-def _cmd_verify_pyramid_entry(args) -> int:
-    vec = ver.generic_pyramid_entry(args.m, args.n, args.k)
-    print(_monomial_text(vec))
-    return 0
-
-
-def _cmd_verify_factorial_exponents(args) -> int:
-    print(_monomial_text(ver.generic_factorial_exponents(args.n)))
+def _cmd_verify(args) -> int:
+    seq = _build_sequence(args)[1] if "spec" in vars(args) else None
+    result = args.run(args, seq)
+    if isinstance(result, ver.CheckResult):
+        return _print_check(result)
+    print(_monomial_text(result))
     return 0
 
 
@@ -597,17 +534,14 @@ def _build_arg_parser() -> argparse.ArgumentParser:
                     "sequence classification, and identity checks.")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("triangle", help="print the triangle of a sequence")
-    _add_spec_argument(p)
-    p.add_argument("--rows", type=int, required=True, metavar="N")
-    p.add_argument("--format", choices=("text", "csv", "json"), default="text")
-    p.set_defaults(handler=_cmd_triangle)
-
-    p = sub.add_parser("pyramid", help="print the stacked row triangles")
-    _add_spec_argument(p)
-    p.add_argument("--depth", type=int, required=True, metavar="D")
-    p.add_argument("--format", choices=("text", "csv", "json"), default="text")
-    p.set_defaults(handler=_cmd_pyramid)
+    for command, help_text, size, metavar in (
+            ("triangle", "print the triangle of a sequence", "--rows", "N"),
+            ("pyramid", "print the stacked row triangles", "--depth", "D")):
+        p = sub.add_parser(command, help=help_text)
+        _add_spec_argument(p)
+        p.add_argument(size, type=int, required=True, metavar=metavar)
+        p.add_argument("--format", choices=("text", "csv", "json"), default="text")
+        p.set_defaults(handler=_cmd_triangle_or_pyramid)
 
     p = sub.add_parser("classify", help="run the property battery")
     _add_spec_argument(p)
@@ -631,60 +565,17 @@ def _build_arg_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("verify", help="run one identity checker")
     vsub = p.add_subparsers(dest="check", required=True)
-
-    v = vsub.add_parser("symmetry", help="3-fold rotation of a palindromic triangle")
-    _add_spec_argument(v)
-    v.set_defaults(handler=_cmd_verify_symmetry)
-
-    v = vsub.add_parser("slice-identity", help="columns appear as pyramid slices")
-    _add_spec_argument(v)
-    v.add_argument("--n-max", type=int, default=6)
-    v.add_argument("--m-max", type=int, default=4)
-    v.add_argument("--k-max", type=int, default=6)
-    v.set_defaults(handler=_cmd_verify_slice)
-
-    v = vsub.add_parser("determinant", help="binomial determinant identity")
-    v.add_argument("--n", type=int, required=True)
-    v.add_argument("--m", type=int, required=True)
-    v.add_argument("--k", type=int, required=True)
-    v.set_defaults(handler=_cmd_verify_determinant)
-
-    v = vsub.add_parser("recurrence", help="two-term recurrence step identity")
-    _add_spec_argument(v)
-    v.add_argument("--n", type=int, required=True)
-    v.add_argument("--k", type=int, required=True)
-    v.add_argument("--u", type=int, default=None)
-    v.add_argument("--v", type=int, default=None)
-    v.set_defaults(handler=_cmd_verify_recurrence)
-
-    v = vsub.add_parser("hm", help="factorial and binomial identity for comb(mx, m)")
-    v.add_argument("--m", type=int, required=True)
-    v.add_argument("--n", type=int, required=True)
-    v.add_argument("--k", type=int, required=True)
-    v.set_defaults(handler=_cmd_verify_hm)
-
-    v = vsub.add_parser("delta-pattern", help="zeros-then-ones pattern of delta")
-    v.add_argument("--m", type=int, required=True)
-    v.add_argument("--r", type=int, required=True)
-    v.add_argument("--length", type=int, required=True)
-    v.set_defaults(handler=_cmd_verify_delta)
-
-    v = vsub.add_parser("window-minimality", help="initial window is minimal")
-    v.add_argument("--m", type=int, required=True)
-    v.add_argument("--r", type=int, required=True)
-    v.add_argument("--n-max", type=int, default=18)
-    v.add_argument("--a-max", type=int, default=18)
-    v.set_defaults(handler=_cmd_verify_window)
-
-    v = vsub.add_parser("pyramid-entry", help="generic column-entry exponents")
-    v.add_argument("--m", type=int, required=True)
-    v.add_argument("--n", type=int, required=True)
-    v.add_argument("--k", type=int, required=True)
-    v.set_defaults(handler=_cmd_verify_pyramid_entry)
-
-    v = vsub.add_parser("factorial-exponents", help="generic factorial exponents")
-    v.add_argument("--n", type=int, required=True)
-    v.set_defaults(handler=_cmd_verify_factorial_exponents)
+    for check, help_text, takes_spec, options, run in _VERIFY:
+        v = vsub.add_parser(check, help=help_text)
+        if takes_spec:
+            _add_spec_argument(v)
+        for name, default in options.items():
+            flag = "--" + name.replace("_", "-")
+            if default is ...:
+                v.add_argument(flag, type=int, required=True)
+            else:
+                v.add_argument(flag, type=int, default=default)
+        v.set_defaults(handler=_cmd_verify, run=run)
 
     return parser
 
@@ -707,6 +598,9 @@ def main(argv=None) -> int:
     except (UndefinedTermError, ZeroTermError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    except InternalCheckError as exc:
+        print(f"error: internal check failed: {exc}", file=sys.stderr)
+        return 3
 
 
 def console_main() -> None:

@@ -8,6 +8,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from math import prod
 
 from .errors import NonIntegralEntryError, UndefinedTermError
 from .sequences import Sequence, from_list
@@ -32,10 +33,7 @@ def ffactorial(f: Sequence, n: int) -> int:
     """Product of the first n terms; the empty product is 1."""
     if n < 0:
         raise UndefinedTermError(f"factorial of negative index {n}", index=n)
-    total = 1
-    for i in range(1, n + 1):
-        total *= f.term(i)
-    return total
+    return _prefix_factorials(f, n)[-1]
 
 
 def _prefix_factorials(f: Sequence, n: int) -> list[int]:
@@ -61,10 +59,6 @@ def fbinom(f: Sequence, n: int, k: int) -> Fraction:
     return Fraction(num, den)
 
 
-def _recip(q: Fraction) -> Fraction:
-    return Fraction(q.denominator, q.numerator)
-
-
 def fbinom_values(values, n: int, k: int) -> Fraction:
     """[n k] over an explicit 1-indexed list of exact nonzero values.
 
@@ -74,13 +68,7 @@ def fbinom_values(values, n: int, k: int) -> Fraction:
         raise UndefinedTermError(f"[{n} {k}] is undefined")
     if n > len(values):
         raise UndefinedTermError(f"[{n} {k}] needs {n} terms, have {len(values)}")
-    num = Fraction(1)
-    for i in range(n - k + 1, n + 1):
-        num *= Fraction(values[i - 1])
-    den = Fraction(1)
-    for i in range(1, k + 1):
-        den *= Fraction(values[i - 1])
-    return num * _recip(den)
+    return Fraction(prod(values[n - k:n]), prod(values[:k]))
 
 
 @dataclass(frozen=True)

@@ -154,6 +154,16 @@ def g_ab(a: int, b: int) -> Sequence:
     return Sequence(f"gab:{a},{b}", rule)
 
 
+def _lucas_rule(p: int, q: int) -> Callable[[int], int]:
+    def rule(n: int) -> int:
+        prev, cur = 0, 1
+        for _ in range(n - 1):
+            prev, cur = cur, p * cur - q * prev
+        return cur
+
+    return rule
+
+
 def lucas(p: int, q: int) -> Sequence:
     """Second-order recurrence U(n+2) = p*U(n+1) - q*U(n), U(0)=0, U(1)=1.
 
@@ -161,20 +171,12 @@ def lucas(p: int, q: int) -> Sequence:
     """
     if p == 0 and q == 0:
         raise ValueError("p and q must not both be zero")
-
-    def rule(n: int) -> int:
-        prev, cur = 0, 1
-        for _ in range(n - 1):
-            prev, cur = cur, p * cur - q * prev
-        return cur
-
-    return Sequence(f"lucas:{p},{q}", rule)
+    return Sequence(f"lucas:{p},{q}", _lucas_rule(p, q))
 
 
 def fibonacci() -> Sequence:
     """Fibonacci numbers 1, 1, 2, 3, 5, ..."""
-    inner = lucas(1, -1)
-    return Sequence("fib", inner.term)
+    return Sequence("fib", _lucas_rule(1, -1))
 
 
 def divisor_product_of(g: Sequence) -> Sequence:

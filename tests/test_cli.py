@@ -2,7 +2,7 @@ import json
 
 import pytest
 
-from binomid import ZeroTermError
+from binomid import InternalCheckError, ZeroTermError
 from binomid.cli import (SeqSpec, SpecParseError, ingest_bfile, main,
                          parse_seqspec)
 
@@ -349,3 +349,49 @@ class TestVerifyCommand:
 
     def test_usage_error_exits_2(self, capsys):
         assert main(["verify", "determinant", "--n", "3"]) == 2
+
+
+class TestNestingLimit:
+    @pytest.mark.parametrize("opener", ["double(", "col(1,", "prepend1(",
+                                        "scalar(2,", "pow(1,"])
+    def test_hundred_levels_parse(self, opener):
+        spec = parse_seqspec(opener * 100 + "I" + ")" * 100)
+        for _ in range(100):
+            spec = spec.args[-1]
+        assert spec == SeqSpec("I")
+
+    @pytest.mark.parametrize("opener", ["double(", "col(1,", "prepend1(",
+                                        "scalar(2,", "pow(1,"])
+    def test_hundred_levels_classify(self, capsys, opener):
+        code, out, _ = run(capsys, "classify", opener * 100 + "I" + ")" * 100,
+                           "--bound", "6", "--only", "binomid")
+        assert (code, out) == (0, "PASS binomid (bound 6)\n")
+
+    def test_hundred_and_one_levels_raise_at_the_innermost_combinator(self):
+        with pytest.raises(SpecParseError) as exc:
+            parse_seqspec("product(I," * 100 + "double(I)" + ")" * 100)
+        assert str(exc.value) == "spec nested deeper than 100 levels"
+        assert exc.value.offset == 100 * len("product(I,")
+
+    def test_deep_spec_exits_2_with_one_line(self, capsys):
+        code, out, err = run(capsys, "triangle", "prepend1(" * 3000 + "I" + ")" * 3000,
+                             "--rows", "2")
+        assert code == 2
+        assert out == ""
+        assert err == ("error: spec nested deeper than 100 levels "
+                       f"(byte offset {100 * len('prepend1(')})\n")
+
+
+class TestInternalCheckError:
+    def test_exits_3_with_message(self, capsys, monkeypatch):
+        import binomid.classify
+
+        def broken(f, bound):
+            raise InternalCheckError("window criterion and triangle integrality disagree")
+
+        monkeypatch.setattr(binomid.classify, "is_binomid", broken)
+        code, out, err = run(capsys, "classify", "I", "--bound", "5")
+        assert code == 3
+        assert out == ""
+        assert err == ("error: internal check failed: window criterion and "
+                       "triangle integrality disagree\n")
