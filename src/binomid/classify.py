@@ -87,21 +87,30 @@ def is_binomid(f: Sequence, bound: int) -> ClassificationReport:
 
     The primary algorithm is the window-divisibility criterion: the product
     of the first k terms must divide every product of k consecutive terms.
-    It is cross-checked against triangle integrality; the two must agree.
+    Each window grows by one term per step, and a row's scan stops at
+    k = n/2: a window of k terms is divisible exactly when the window of
+    n-k terms is, since both quotients are [n k] = [n n-k]. The first window
+    that leaves a remainder is the witness. It is cross-checked against the
+    integrality of the triangle, whose rows come from the entry-sized row
+    kernel: the first non-integral entry must sit exactly at the witness.
+    That entry never lies beyond the witness row, so the triangle is built
+    only that deep.
     """
     eff, reduced, note = _capped(f, bound)
     fact = _prefix_factorials(f, eff)
+    terms = f.prefix(eff)
     witness = None
     for n in range(2, eff + 1):
-        for k in range(1, n):
-            window = fact[n] // fact[n - k]
+        window = 1
+        for k in range(1, n // 2 + 1):
+            window *= terms[n - k]
             if window % fact[k]:
                 witness = {"m": n - k, "k": k, "n": n,
                            "value": Fraction(window, fact[k])}
                 break
         if witness:
             break
-    bad = triangle(f, eff).first_non_integral()
+    bad = triangle(f, eff if witness is None else witness["n"]).first_non_integral()
     agree = (witness is None and bad is None) or (
         witness is not None and bad is not None
         and (bad[0], bad[1]) == (witness["n"], witness["k"]))

@@ -101,22 +101,51 @@ class Triangle:
         return self.first_non_integral() is None
 
 
+def _row(term, n: int, last: int):
+    """Yield [n k] for k = 0..last as Fractions: the triangle kernel.
+
+    Walks the row by [n k] = [n k-1] * f(n-k+1) / f(k), with `term(i)` giving
+    f(i). While the entries are integers the step is an exact divmod on
+    plain integers the size of the entries; from a non-integral entry on it
+    carries Fraction(num, den), which returns to divmod if a later entry
+    reduces to an integer. Terms are fetched in the order the walk needs
+    them, f(n-k+1) then f(k), so a consumer that stops early has not
+    touched the rest of the row's terms.
+    """
+    num, den = 1, 1
+    yield Fraction(1)
+    for k in range(1, last + 1):
+        top = num * term(n - k + 1)
+        bottom = den * term(k)
+        if den == 1:
+            quotient, rem = divmod(top, bottom)
+            if not rem:
+                num = quotient
+                yield Fraction(quotient)
+                continue
+        value = Fraction(top, bottom)
+        num, den = value.numerator, value.denominator
+        yield value
+
+
 def triangle(f: Sequence, depth: int) -> Triangle:
     """Build the triangle to the given depth, capped at a finite length.
 
-    Each f-factorial is computed once and entries are formed by exact
-    division, so row construction reuses all prior products.
+    The terms are materialized once, in index order. Each row comes from
+    the row kernel, so every step multiplies and divides integers the size
+    of the entries, never factorials; the kernel walks half the row and
+    the rest is its mirror image, since [n k] = [n n-k].
     """
     if depth < 0:
         raise ValueError("depth must be nonnegative")
     if f.length is not None:
         depth = min(depth, f.length)
-    fact = _prefix_factorials(f, depth)
-    rows = tuple(
-        tuple(Fraction(fact[n], fact[k] * fact[n - k]) for k in range(n + 1))
-        for n in range(depth + 1)
-    )
-    return Triangle(f, depth, rows)
+    term = [0, *f.prefix(depth)].__getitem__
+    rows = []
+    for n in range(depth + 1):
+        half = list(_row(term, n, n // 2))
+        rows.append(tuple(half + half[:(n + 1) // 2][::-1]))
+    return Triangle(f, depth, tuple(rows))
 
 
 def _require_unit_first(f: Sequence) -> None:
@@ -134,8 +163,7 @@ def row_seq(f: Sequence, m: int) -> Sequence:
         raise ValueError("row index must be nonnegative")
     _require_unit_first(f)
     terms = []
-    for j in range(m + 1):
-        value = fbinom(f, m, j)
+    for j, value in enumerate(_row(f.term, m, m)):
         if value.denominator != 1:
             raise NonIntegralEntryError(m, j, value)
         terms.append(value.numerator)

@@ -43,7 +43,8 @@ class Sequence:
     """A deterministic 1-indexed stream of nonzero integers.
 
     Terms come from `rule` and are cached with compute-once semantics, so
-    concurrent readers observe identical values.
+    concurrent readers observe identical values. The lock is reentrant, so
+    a rule may read earlier terms of its own sequence.
     """
 
     __slots__ = ("name", "length", "_rule", "_cache", "_lock")
@@ -55,7 +56,7 @@ class Sequence:
         self.length = length
         self._rule = rule
         self._cache: dict[int, int] = {}
-        self._lock = threading.Lock()
+        self._lock = threading.RLock()
 
     def __repr__(self) -> str:
         size = "unbounded" if self.length is None else f"length {self.length}"

@@ -235,3 +235,14 @@ class TestSequenceBehavior:
         for t in threads:
             t.join()
         assert all(r == results[0] for r in results)
+
+    def test_rule_may_read_its_own_earlier_terms(self):
+        x = Sequence("rec", lambda n: 1 if n == 1 else 2 * x.term(n - 1))
+        results = []
+        thread = threading.Thread(target=lambda: results.append(x.term(5)),
+                                  daemon=True)
+        thread.start()
+        thread.join(timeout=5)
+        assert not thread.is_alive(), "self-referential rule deadlocked"
+        assert results == [16]
+        assert x.prefix(5) == [1, 2, 4, 8, 16]
