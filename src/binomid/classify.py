@@ -18,7 +18,7 @@ from .core import (_prefix_factorials, col_seq, fbinom, fbinom_values,
                    pyramid, triangle)
 from .errors import InternalCheckError, NonIntegralEntryError
 from .numtheory import divisors, mobius, prime_power_base, primes_up_to
-from .sequences import Sequence, from_list
+from .sequences import Sequence
 
 HOLDS = "holds_to_bound"
 FAILS = "fails"
@@ -361,8 +361,10 @@ class PerPrimeDecomposition:
 
 
 def per_prime_decomposition(f: Sequence, bound: int, prime_bound: int) -> PerPrimeDecomposition:
-    """Binomid reports for each prime-power shadow (p ** v_p(f(n))).
+    """Binomid reports for each prime p, by the additive criterion.
 
+    (p ** v_p(f(n))) is binomid exactly when the partial sums of the
+    exponents v_p(f(n)) are superadditive (`additive_binomid_check`).
     Terms with factors beyond prime_bound are reported as undecided rather
     than guessed at. When every term factors completely, the conjunction of
     the per-prime verdicts must match the direct binomid check.
@@ -381,11 +383,8 @@ def per_prime_decomposition(f: Sequence, bound: int, prime_bound: int) -> PerPri
                 exps[p][idx - 1] += 1
         if v > 1:
             undecided.append((idx, v))
-    reports = []
-    for p in primes:
-        if any(exps[p]):
-            shadow = from_list([p ** e for e in exps[p]], name=f"ppow:{p}({f.name})")
-            reports.append((p, is_binomid(shadow, eff)))
+    reports = [(p, additive_binomid_check(p, exps[p], eff))
+               for p in primes if any(exps[p])]
     combined = HOLDS if all(rep.holds() for _, rep in reports) else FAILS
     agrees = None
     if not undecided:

@@ -11,6 +11,7 @@ which only an arithmetic bug can cause.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 from dataclasses import dataclass
@@ -418,13 +419,15 @@ def _cmd_triangle_or_pyramid(args) -> int:
 def _cmd_classify(args) -> int:
     spec, seq = _build_sequence(args)
     selected = None
-    if args.only:
+    if args.only is not None:
         selected = [name.strip() for name in args.only.split(",") if name.strip()]
         known = set(cls.PROPERTIES) | {"binomid_every_level"}
+        choices = ", ".join(sorted(known))
+        if not selected:
+            raise ValueError(f"--only names no property; choose from {choices}")
         for name in selected:
             if name not in known:
-                raise ValueError(f"unknown property {name!r}; choose from "
-                                 + ", ".join(sorted(known)))
+                raise ValueError(f"unknown property {name!r}; choose from {choices}")
         if "binomid_every_level" in selected and args.levels is None:
             raise ValueError("binomid_every_level requires --levels")
     reports = [getattr(cls, "is_" + name)(seq, args.bound) for name in cls.PROPERTIES
@@ -527,7 +530,9 @@ def _add_spec_argument(parser) -> None:
                         help="skip K leading lines of every bfile atom")
 
 
+@functools.cache
 def _build_arg_parser() -> argparse.ArgumentParser:
+    # built once per process; parse_args leaves the parser unchanged
     parser = argparse.ArgumentParser(
         prog="binomid",
         description="Exact generalized binomial triangles, pyramids, "

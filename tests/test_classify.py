@@ -1,10 +1,15 @@
+import dataclasses
 import random
 from fractions import Fraction
-from math import gcd
+from math import gcd, prod
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from binomid import (FAILS, HOLDS, Sequence, UndefinedTermError,
+import binomid.classify
+from binomid import (FAILS, HOLDS, InternalCheckError, Sequence,
+                     UndefinedTermError,
                      additive_binomid_check, col_seq, compose_power,
                      divisor_product_of, divisor_product_profile, factorial_seq,
                      fbinom, fibonacci, from_list, g_ab, identity_seq,
@@ -14,6 +19,7 @@ from binomid import (FAILS, HOLDS, Sequence, UndefinedTermError,
                      is_multiplicative, lucas, mobius_invert,
                      per_prime_decomposition, power_seq, scalar,
                      triangular_seq)
+from binomid.cli import main
 
 
 def nonzero(rng, lo=-9, hi=9):
@@ -285,6 +291,114 @@ class TestPerPrime:
     def test_rejects_tiny_prime_bound(self):
         with pytest.raises(ValueError):
             per_prime_decomposition(identity_seq(), 5, 1)
+
+
+SMALL_PRIMES = (2, 3, 5, 7, 11, 13)
+
+
+@st.composite
+def smooth_lists(draw):
+    """Signed terms that factor over SMALL_PRIMES, with their exponents.
+
+    Each prime gets its own exponent column: all zeros leaves the prime
+    out, and a sorted column keeps its shadow binomid. A term whose
+    exponents are all zero is 1 or -1.
+    """
+    size = draw(st.integers(1, 10))
+    exps = {}
+    for p in SMALL_PRIMES:
+        top = draw(st.integers(0, 3))
+        column = draw(st.lists(st.integers(0, top), min_size=size, max_size=size))
+        exps[p] = sorted(column) if draw(st.booleans()) else column
+    signs = draw(st.lists(st.sampled_from([1, -1]), min_size=size, max_size=size))
+    values = [sign * prod(p ** exps[p][i] for p in SMALL_PRIMES)
+              for i, sign in enumerate(signs)]
+    return values, exps
+
+
+def _flip_verdict(monkeypatch, prime):
+    original = binomid.classify.additive_binomid_check
+
+    def flipped(c, exponents, bound):
+        rep = original(c, exponents, bound)
+        if c != prime:
+            return rep
+        return dataclasses.replace(rep, verdict=FAILS if rep.holds() else HOLDS)
+
+    monkeypatch.setattr(binomid.classify, "additive_binomid_check", flipped)
+
+
+class TestPerPrimeAgainstShadowRoute:
+    """per_prime_decomposition against the route it replaced, kept here as
+    the oracle: the full is_binomid on each shadow sequence (p ** v_p(f(n)))."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(smooth_lists(), st.sampled_from(SMALL_PRIMES), st.integers(0, 2))
+    def test_verdicts_and_witnesses_match(self, drawn, prime_bound, extra):
+        values, exps = drawn
+        eff = len(values)
+        decomp = per_prime_decomposition(from_list(values), eff + extra, prime_bound)
+        primes = [p for p in SMALL_PRIMES if p <= prime_bound]
+        shadows = [(p, is_binomid(from_list([p ** e for e in exps[p]]), eff))
+                   for p in primes if any(exps[p])]
+        assert [p for p, _ in decomp.reports] == [p for p, _ in shadows]
+        for (p, rep), (_, shadow) in zip(decomp.reports, shadows):
+            assert rep.property == "binomid_additive"
+            assert rep.note == f"additive criterion, base {p}"
+            assert (rep.verdict, rep.bound) == (shadow.verdict, shadow.bound)
+            if shadow.witness is None:
+                assert rep.witness is None
+            else:
+                w = rep.witness
+                # the additive pair (m, n) is the shadow's (k, n-k)
+                assert (w["m"], w["n"], w["m"] + w["n"]) == (
+                    shadow.witness["k"], shadow.witness["m"], shadow.witness["n"])
+                assert shadow.witness["value"] == Fraction(p) ** (w["rhs"] - w["lhs"])
+        undecided = tuple(
+            (i, c) for i, c in enumerate(
+                (prod(p ** exps[p][i] for p in SMALL_PRIMES if p > prime_bound)
+                 for i in range(eff)), start=1)
+            if c > 1)
+        assert decomp.undecided == undecided
+        assert decomp.effective_bound == eff
+        assert decomp.combined_verdict == (
+            HOLDS if all(shadow.holds() for _, shadow in shadows) else FAILS)
+        assert decomp.agrees_with_direct is (None if undecided else True)
+
+    def test_direct_check_runs_once_and_only_when_every_term_factors(
+            self, monkeypatch):
+        calls = []
+
+        def counted(f, bound):
+            calls.append(f.name)
+            return is_binomid(f, bound)
+
+        monkeypatch.setattr(binomid.classify, "is_binomid", counted)
+        per_prime_decomposition(power_seq(6), 10, 7)
+        assert calls == ["cpow:6"]
+        calls.clear()
+        per_prime_decomposition(from_list([1, 13, 1]), 3, 11)
+        assert calls == []
+
+    @pytest.mark.parametrize("prime", [2, 3])
+    def test_flipped_prime_verdict_is_caught(self, monkeypatch, prime):
+        _flip_verdict(monkeypatch, prime)
+        with pytest.raises(InternalCheckError):
+            per_prime_decomposition(power_seq(6), 10, 7)
+
+    def test_flipped_failing_verdict_is_caught(self, monkeypatch, two_pow_a):
+        _flip_verdict(monkeypatch, 2)
+        with pytest.raises(InternalCheckError):
+            per_prime_decomposition(two_pow_a, 8, 11)
+
+    def test_classify_per_prime_exits_3(self, capsys, monkeypatch):
+        _flip_verdict(monkeypatch, 3)
+        code = main(["classify", "cpow:6", "--bound", "10", "--only", "binomid",
+                     "--per-prime", "7"])
+        captured = capsys.readouterr()
+        assert code == 3
+        assert captured.err == ("error: internal check failed: per-prime "
+                                "conjunction disagrees with direct check\n")
 
 
 class TestProfile:

@@ -3,8 +3,9 @@ import json
 import pytest
 
 from binomid import InternalCheckError, ZeroTermError
-from binomid.cli import (SeqSpec, SpecParseError, ingest_bfile, main,
-                         parse_seqspec)
+from binomid import classify as cls
+from binomid.cli import (SeqSpec, SpecParseError, _build_arg_parser,
+                         ingest_bfile, main, parse_seqspec)
 
 
 def run(capsys, *argv):
@@ -228,6 +229,15 @@ class TestClassifyCommand:
         assert code == 2
         assert "sparkly" in err
 
+    @pytest.mark.parametrize("only", [",", " , ", ""])
+    def test_only_naming_no_property_exits_2(self, capsys, only):
+        code, out, err = run(capsys, "classify", "I", "--bound", "5", "--only", only)
+        assert code == 2
+        assert out == ""
+        assert err.count("\n") == 1 and err.startswith("error: ")
+        listed = err.strip().split("choose from ")[1].split(", ")
+        assert sorted(listed) == sorted(cls.PROPERTIES + ("binomid_every_level",))
+
     def test_every_level_selection_needs_depth(self, capsys):
         code, _, err = run(capsys, "classify", "I", "--bound", "10",
                            "--only", "binomid_every_level")
@@ -395,3 +405,31 @@ class TestInternalCheckError:
         assert out == ""
         assert err == ("error: internal check failed: window criterion and "
                        "triangle integrality disagree\n")
+
+
+class TestParserReuse:
+    ARGVS = (
+        ["classify", "I"],
+        ["classify", "I", "--bound", "5", "--only", "binomid"],
+        ["classify", "I", "--bound", "5"],
+        ["verify", "slice-identity", "I", "--n-max", "3"],
+        ["verify", "slice-identity", "I"],
+    )
+
+    def test_parser_is_built_once(self):
+        assert _build_arg_parser() is _build_arg_parser()
+
+    def test_consecutive_calls_leak_no_state(self, capsys):
+        fresh = []
+        for argv in self.ARGVS:
+            _build_arg_parser.cache_clear()
+            fresh.append(run(capsys, *argv))
+        _build_arg_parser.cache_clear()
+        reused = [run(capsys, *argv) for argv in self.ARGVS]
+        assert reused == fresh
+        usage, only, battery = reused[:3]
+        assert usage[0] == 2 and usage[2].startswith("usage: ")
+        assert only == (0, "PASS binomid (bound 5)\n", "")
+        assert len(battery[1].splitlines()) == len(cls.PROPERTIES)
+        args = _build_arg_parser().parse_args(["verify", "slice-identity", "I"])
+        assert (args.n_max, args.m_max, args.k_max) == (6, 4, 6)
