@@ -17,7 +17,7 @@ from math import gcd
 from .core import (_prefix_factorials, col_seq, fbinom, fbinom_values,
                    pyramid, triangle)
 from .errors import InternalCheckError, NonIntegralEntryError
-from .numtheory import divisors, mobius, prime_power_base, primes_up_to
+from .numtheory import Sieve, primes_up_to
 from .sequences import Sequence
 
 HOLDS = "holds_to_bound"
@@ -194,33 +194,46 @@ def mobius_invert(f: Sequence, count: int) -> list[Fraction]:
     """The unique g with f = divisor-product of g, as exact rationals.
 
     g(n) is the product of f(d)**mu(n/d) over divisors d of n. The exact
-    round trip back to f is verified before returning.
+    round trip back to f is verified before returning, on plain integers:
+    over the divisors d of n, the numerators of g(d) multiply to f(n) times
+    the product of their denominators.
     """
     if count < 1:
         raise ValueError("count must be positive")
     values = [f.term(n) for n in range(1, count + 1)]
-    inverted = []
+    inverted = _mobius_quotients(values)
+    nums = [1] * (count + 1)
+    dens = [1] * (count + 1)
+    for d, q in enumerate(inverted, start=1):
+        a, b = q.numerator, q.denominator
+        for n in range(d, count + 1, d):
+            nums[n] *= a
+            dens[n] *= b
     for n in range(1, count + 1):
-        num = 1
-        den = 1
-        for d in divisors(n):
-            mu = mobius(n // d)
-            if mu == 1:
-                num *= values[d - 1]
-            elif mu == -1:
-                den *= values[d - 1]
-        inverted.append(Fraction(num, den))
-    for n in range(1, count + 1):
-        total = Fraction(1)
-        for d in divisors(n):
-            total *= inverted[d - 1]
-        if total != values[n - 1]:
+        if nums[n] != values[n - 1] * dens[n]:
             raise InternalCheckError(f"inversion round trip failed at index {n}")
     return inverted
 
 
-def is_divisor_product(f: Sequence, bound: int) -> ClassificationReport:
-    """Does f factor through an integer sequence on its divisor lattice?"""
+def _mobius_quotients(values: list[int]) -> list[Fraction]:
+    # each f(d) goes to the multiples n = d*j with j squarefree, into the
+    # numerator of g(n) when mu(j) = 1 and the denominator when mu(j) = -1
+    count = len(values)
+    mu = Sieve(count).mu
+    plus = [j for j in range(1, count + 1) if mu[j] == 1]
+    minus = [j for j in range(1, count + 1) if mu[j] == -1]
+    num = [1] * (count + 1)
+    den = [1] * (count + 1)
+    for d, value in enumerate(values, start=1):
+        for js, acc in ((plus, num), (minus, den)):
+            for j in js:
+                if d * j > count:
+                    break
+                acc[d * j] *= value
+    return [Fraction(num[n], den[n]) for n in range(1, count + 1)]
+
+
+def _divisor_product(f: Sequence, bound: int) -> tuple[ClassificationReport, list[Fraction]]:
     eff, reduced, note = _capped(f, bound)
     inverted = mobius_invert(f, eff)
     witness = None
@@ -228,7 +241,12 @@ def is_divisor_product(f: Sequence, bound: int) -> ClassificationReport:
         if value.denominator != 1:
             witness = {"n": n, "value": value}
             break
-    return _report("divisor_product", bound, witness, reduced, note)
+    return _report("divisor_product", bound, witness, reduced, note), inverted
+
+
+def is_divisor_product(f: Sequence, bound: int) -> ClassificationReport:
+    """Does f factor through an integer sequence on its divisor lattice?"""
+    return _divisor_product(f, bound)[0]
 
 
 def is_divisor_chain(f: Sequence, bound: int) -> ClassificationReport:
@@ -245,11 +263,13 @@ def is_divisor_chain(f: Sequence, bound: int) -> ClassificationReport:
 def is_divisible(f: Sequence, bound: int) -> ClassificationReport:
     """k | n implies f(k) | f(n), over all pairs within the bound."""
     eff, reduced, note = _capped(f, bound)
+    sieve = Sieve(eff)
     witness = None
     for n in range(2, eff + 1):
-        for k in divisors(n)[:-1]:
-            if f.term(n) % f.term(k):
-                witness = {"k": k, "n": n, "f_k": f.term(k), "f_n": f.term(n)}
+        f_n = f.term(n)
+        for k in sieve.divisors(n)[:-1]:
+            if f_n % f.term(k):
+                witness = {"k": k, "n": n, "f_k": f.term(k), "f_n": f_n}
                 break
         if witness:
             break
@@ -426,22 +446,23 @@ def divisor_product_profile(f: Sequence, bound: int) -> DivisorProductProfile:
         return DivisorProductProfile(eff, False,
                                      {"reason": "first term is not 1",
                                       "value": f.term(1)})
-    dp = is_divisor_product(f, eff)
+    dp, inverted = _divisor_product(f, eff)
     if not dp.holds():
         return DivisorProductProfile(eff, False,
                                      {"reason": "not a divisor-product",
                                       **(dp.witness or {})})
-    g = [q.numerator for q in mobius_invert(f, eff)]
+    g = [q.numerator for q in inverted]
+    sieve = Sieve(eff)
 
     mult_witness = None
     for n in range(2, eff + 1):
-        if prime_power_base(n) is None and g[n - 1] != 1:
+        if sieve.prime_power_base(n) is None and g[n - 1] != 1:
             mult_witness = {"n": n, "g": g[n - 1]}
             break
 
     homo_witness = None
     for n in range(2, eff + 1):
-        p = prime_power_base(n)
+        p = sieve.prime_power_base(n)
         if p is None:
             if g[n - 1] != 1:
                 homo_witness = {"n": n, "g": g[n - 1]}

@@ -374,6 +374,32 @@ def report_to_json(rep: cls.ClassificationReport) -> dict:
             "witness": None if rep.witness is None else _witness_json(rep.witness)}
 
 
+def per_prime_to_json(decomp: cls.PerPrimeDecomposition) -> dict:
+    return {"prime_bound": decomp.prime_bound,
+            "bound": decomp.effective_bound,
+            "primes": [{"prime": p, **report_to_json(rep)} for p, rep in decomp.reports],
+            "undecided": [{"n": idx, "cofactor": str(cofactor)}
+                          for idx, cofactor in decomp.undecided],
+            "combined_verdict": decomp.combined_verdict,
+            "agrees_with_direct": decomp.agrees_with_direct}
+
+
+def profile_to_json(profile: cls.DivisorProductProfile) -> dict:
+    criteria = []
+    if profile.precondition_ok:
+        criteria = [{"name": crit.name,
+                     "verdict": crit.verdict,
+                     "witness": None if crit.witness is None else _witness_json(crit.witness),
+                     "direct_verdict": crit.direct_verdict,
+                     "agrees": crit.agrees}
+                    for crit in (profile.multiplicative, profile.homomorphic, profile.gcd)]
+    witness = profile.precondition_witness
+    return {"bound": profile.bound,
+            "precondition_ok": profile.precondition_ok,
+            "precondition_witness": None if witness is None else _witness_json(witness),
+            "criteria": criteria}
+
+
 def _report_line(rep: cls.ClassificationReport) -> str:
     status = "PASS" if rep.holds() else "FAIL"
     line = f"{status} {rep.property} (bound {rep.scanned_bound()})"
@@ -436,7 +462,14 @@ def _cmd_classify(args) -> int:
                                     or "binomid_every_level" in selected):
         reports.append(cls.is_binomid_every_level(seq, args.levels, args.bound))
     if args.format == "json":
-        print(json.dumps([report_to_json(r) for r in reports], indent=2))
+        doc = [report_to_json(r) for r in reports]
+        extras = {}
+        if args.per_prime is not None:
+            extras["per_prime"] = per_prime_to_json(
+                cls.per_prime_decomposition(seq, args.bound, args.per_prime))
+        if args.profile:
+            extras["profile"] = profile_to_json(cls.divisor_product_profile(seq, args.bound))
+        print(json.dumps({"reports": doc, **extras} if extras else doc, indent=2))
     else:
         for rep in reports:
             print(_report_line(rep))

@@ -156,11 +156,13 @@ def g_ab(a: int, b: int) -> Sequence:
 
 
 def _lucas_rule(p: int, q: int) -> Callable[[int], int]:
+    # U(0..n) so far; each call extends the list, so a term costs O(1) amortized
+    u = [0, 1]
+
     def rule(n: int) -> int:
-        prev, cur = 0, 1
-        for _ in range(n - 1):
-            prev, cur = cur, p * cur - q * prev
-        return cur
+        while len(u) <= n:
+            u.append(p * u[-1] - q * u[-2])
+        return u[n]
 
     return rule
 

@@ -1,0 +1,385 @@
+"""Differential and liveness tests for the sieve tables, the sieve-backed
+inversion and divisibility scans, and the prefix-extending Lucas rule.
+
+The trial-division helpers below are the number-theory code the sieve
+replaced in the scans, kept here as the oracle.
+"""
+
+import random
+from fractions import Fraction
+
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from binomid import (InternalCheckError, Sequence, ZeroTermError, classify,
+                     divisor_product_of, divisors, euler_phi, fibonacci,
+                     from_list, g_ab, identity_seq, lucas, mobius,
+                     mobius_invert, prime_power_base)
+from binomid.cli import main
+from binomid.numtheory import Sieve
+
+LIMIT = 3000
+
+
+# -- the trial-division oracle -----------------------------------------------
+
+def trial_factorization(n):
+    out, m, d = [], n, 2
+    while d * d <= m:
+        if m % d == 0:
+            e = 0
+            while m % d == 0:
+                m //= d
+                e += 1
+            out.append((d, e))
+        d += 1 if d == 2 else 2
+    if m > 1:
+        out.append((m, 1))
+    return out
+
+
+def trial_divisors(n):
+    small, large = [], []
+    d = 1
+    while d * d <= n:
+        if n % d == 0:
+            small.append(d)
+            if d != n // d:
+                large.append(n // d)
+        d += 1
+    return small + large[::-1]
+
+
+def trial_mobius(n):
+    factors = trial_factorization(n)
+    if any(e > 1 for _, e in factors):
+        return 0
+    return -1 if len(factors) % 2 else 1
+
+
+def trial_euler_phi(n):
+    result = n
+    for p, _ in trial_factorization(n):
+        result = result // p * (p - 1)
+    return result
+
+
+def trial_prime_power_base(n):
+    if n == 1:
+        return None
+    factors = trial_factorization(n)
+    return factors[0][0] if len(factors) == 1 else None
+
+
+def old_mobius_invert(values):
+    """The inversion route the sieve replaced: divisors(n), mobius(n // d)
+    per divisor, and a Fraction round trip."""
+    count = len(values)
+    inverted = []
+    for n in range(1, count + 1):
+        num = den = 1
+        for d in trial_divisors(n):
+            mu = trial_mobius(n // d)
+            if mu == 1:
+                num *= values[d - 1]
+            elif mu == -1:
+                den *= values[d - 1]
+        inverted.append(Fraction(num, den))
+    for n in range(1, count + 1):
+        total = Fraction(1)
+        for d in trial_divisors(n):
+            total *= inverted[d - 1]
+        assert total == values[n - 1]
+    return inverted
+
+
+def old_divisible_witness(values):
+    for n in range(2, len(values) + 1):
+        for k in trial_divisors(n)[:-1]:
+            if values[n - 1] % values[k - 1]:
+                return {"k": k, "n": n, "f_k": values[k - 1], "f_n": values[n - 1]}
+    return None
+
+
+@pytest.fixture(scope="module")
+def sieve():
+    return Sieve(LIMIT)
+
+
+# -- the sieve against the trial-division oracle ------------------------------
+
+class TestSieveAgainstTrialDivision:
+    def test_factorization(self, sieve):
+        for n in range(1, LIMIT + 1):
+            assert sieve.factorization(n) == trial_factorization(n)
+
+    def test_divisors(self, sieve):
+        for n in range(1, LIMIT + 1):
+            assert sieve.divisors(n) == trial_divisors(n)
+
+    def test_mobius_table(self, sieve):
+        assert sieve.mu[1:] == [trial_mobius(n) for n in range(1, LIMIT + 1)]
+
+    def test_euler_phi(self, sieve):
+        for n in range(1, LIMIT + 1):
+            assert sieve.euler_phi(n) == trial_euler_phi(n)
+
+    def test_prime_power_base(self, sieve):
+        for n in range(1, LIMIT + 1):
+            assert sieve.prime_power_base(n) == trial_prime_power_base(n)
+
+    def test_public_functions_match_too(self):
+        for n in range(1, LIMIT + 1):
+            assert divisors(n) == trial_divisors(n)
+            assert mobius(n) == trial_mobius(n)
+            assert euler_phi(n) == trial_euler_phi(n)
+            assert prime_power_base(n) == trial_prime_power_base(n)
+
+    def test_smallest_prime_factor_table(self, sieve):
+        assert sieve.spf[:13] == [0, 1, 2, 3, 2, 5, 2, 7, 2, 3, 2, 11, 2]
+        for n in range(2, LIMIT + 1):
+            assert sieve.spf[n] == trial_factorization(n)[0][0]
+
+    @pytest.mark.parametrize("limit", [0, 1, 2, 3, 4, 9, 25, 26])
+    def test_small_limits(self, limit):
+        small = Sieve(limit)
+        assert len(small.spf) == len(small.mu) == limit + 1
+        assert small.mu[1:] == [trial_mobius(n) for n in range(1, limit + 1)]
+        for n in range(1, limit + 1):
+            assert small.divisors(n) == trial_divisors(n)
+
+    @pytest.mark.parametrize("n", [0, -1, 31])
+    def test_rejects_indices_outside_the_table(self, n):
+        small = Sieve(30)
+        for method in (small.factorization, small.divisors, small.euler_phi,
+                       small.prime_power_base):
+            with pytest.raises(ValueError):
+                method(n)
+
+    def test_rejects_negative_limit(self):
+        with pytest.raises(ValueError):
+            Sieve(-1)
+
+
+# -- sympy cross-checks (tests only; skipped where sympy is missing) -----------
+
+class TestAgainstSympy:
+    @pytest.fixture(scope="class")
+    def sympy(self):
+        return pytest.importorskip("sympy", minversion="1.13")
+
+    def test_mobius_divisors_phi_and_prime_powers(self, sieve, sympy):
+        from sympy.functions.combinatorial.numbers import mobius as sym_mobius
+        for n in range(1, 1201):
+            assert sieve.divisors(n) == sympy.divisors(n)
+            assert sieve.mu[n] == int(sym_mobius(n))
+            assert sieve.euler_phi(n) == int(sympy.totient(n))
+            factors = sympy.factorint(n)
+            assert sieve.factorization(n) == sorted(factors.items())
+            expected = next(iter(factors)) if len(factors) == 1 else None
+            assert sieve.prime_power_base(n) == expected
+
+    def test_fibonacci(self, sympy):
+        assert fibonacci().prefix(600) == [int(sympy.fibonacci(n))
+                                           for n in range(1, 601)]
+
+    def test_cyclotomic_coefficients(self, sympy):
+        from binomid import cyclotomic
+        x = sympy.symbols("x")
+        for n in range(1, 121):
+            coeffs = sympy.Poly(sympy.cyclotomic_poly(n, x), x).all_coeffs()
+            assert cyclotomic(n).coeffs == tuple(int(c) for c in reversed(coeffs))
+
+
+# -- sieve-backed scans against the old routes --------------------------------
+
+nonzero = st.integers(-40, 40).filter(bool)
+
+
+class TestScansAgainstOldRoutes:
+    @given(st.lists(nonzero, min_size=1, max_size=40))
+    @settings(max_examples=150, deadline=None)
+    def test_mobius_invert_matches_old_route(self, values):
+        assert mobius_invert(from_list(values), len(values)) == old_mobius_invert(values)
+
+    @given(st.lists(nonzero, min_size=1, max_size=30))
+    @settings(max_examples=150, deadline=None)
+    def test_divisor_products_invert_to_their_base(self, g):
+        f = divisor_product_of(from_list(g))
+        assert mobius_invert(f, len(g)) == g
+
+    @pytest.mark.parametrize("seq", [identity_seq(), fibonacci(), lucas(3, 2),
+                                     g_ab(5, 3), lucas(1, -2)],
+                             ids=lambda s: s.name)
+    def test_mobius_invert_of_families(self, seq):
+        values = seq.prefix(300)
+        assert mobius_invert(seq, 300) == old_mobius_invert(values)
+
+    @given(st.lists(st.integers(-12, 12).filter(bool), min_size=1, max_size=60))
+    @settings(max_examples=200, deadline=None)
+    def test_divisible_witness_matches_old_route(self, values):
+        rep = classify.is_divisible(from_list(values), len(values))
+        assert rep.witness == old_divisible_witness(values)
+
+    def test_divisible_on_families(self):
+        for seq in (identity_seq(), fibonacci(), lucas(3, 2), from_list(range(1, 500))):
+            values = seq.prefix(400)
+            assert classify.is_divisible(seq, 400).witness == old_divisible_witness(values)
+
+
+# -- the integer round trip still fires ---------------------------------------
+
+def _corrupt(monkeypatch, index, change):
+    original = classify._mobius_quotients
+
+    def corrupted(values):
+        out = original(values)
+        out[index] = change(out[index])
+        return out
+
+    monkeypatch.setattr(classify, "_mobius_quotients", corrupted)
+
+
+CORRUPTIONS = {
+    "plus_one": lambda q: q + 1,
+    "negated": lambda q: -q,
+    "halved": lambda q: q * Fraction(1, 2),
+    "doubled": lambda q: q * 2,
+}
+
+
+class TestRoundTripLiveness:
+    @pytest.mark.parametrize("index", [0, 1, 5, 29])
+    @pytest.mark.parametrize("change", list(CORRUPTIONS), ids=str)
+    def test_corrupted_value_is_caught(self, monkeypatch, index, change):
+        _corrupt(monkeypatch, index, CORRUPTIONS[change])
+        with pytest.raises(InternalCheckError, match="round trip"):
+            mobius_invert(fibonacci(), 30)
+
+    def test_corrupted_fraction_is_caught(self, monkeypatch):
+        # a spurious denominator on a value that should be an integer
+        _corrupt(monkeypatch, 11, lambda q: Fraction(q.numerator, 7))
+        with pytest.raises(InternalCheckError):
+            mobius_invert(identity_seq(), 20)
+
+    def test_corrupted_inversion_fails_the_divisor_product_check(self, monkeypatch):
+        _corrupt(monkeypatch, 3, CORRUPTIONS["plus_one"])
+        with pytest.raises(InternalCheckError):
+            classify.is_divisor_product(lucas(3, 2), 10)
+
+    def test_invert_command_exits_3(self, capsys, monkeypatch):
+        _corrupt(monkeypatch, 5, CORRUPTIONS["plus_one"])
+        code = main(["invert", "I", "--terms", "20"])
+        captured = capsys.readouterr()
+        assert code == 3
+        assert captured.out == ""
+        assert captured.err == ("error: internal check failed: "
+                                "inversion round trip failed at index 6\n")
+
+
+# -- the profile inverts once --------------------------------------------------
+
+class TestProfileInvertsOnce:
+    @pytest.mark.parametrize("spec", ["fib", "P(I)", "list:1,2,2,2,2,2,2,2,2,2,2,2",
+                                      "lucas:3,2", "I"])
+    def test_one_inversion_per_profile(self, monkeypatch, spec):
+        from binomid.cli import parse_seqspec
+        calls = []
+        original = classify.mobius_invert
+
+        def counted(f, count):
+            calls.append(count)
+            return original(f, count)
+
+        monkeypatch.setattr(classify, "mobius_invert", counted)
+        profile = classify.divisor_product_profile(parse_seqspec(spec).build(), 12)
+        assert calls == [12]
+        assert profile.bound == 12
+
+    def test_precondition_witness_is_the_divisor_product_witness(self, w_ones_then_twos):
+        profile = classify.divisor_product_profile(w_ones_then_twos, 8)
+        assert not profile.precondition_ok
+        assert profile.precondition_witness == {
+            "reason": "not a divisor-product", "n": 6, "value": Fraction(1, 2)}
+        assert profile.precondition_witness == {
+            "reason": "not a divisor-product",
+            **classify.is_divisor_product(w_ones_then_twos, 8).witness}
+
+    def test_first_term_precondition_skips_the_inversion(self, monkeypatch):
+        monkeypatch.setattr(classify, "mobius_invert",
+                            lambda f, count: pytest.fail("inverted"))
+        profile = classify.divisor_product_profile(from_list([2, 4]), 2)
+        assert profile.precondition_witness == {"reason": "first term is not 1",
+                                                "value": 2}
+
+
+# -- the prefix-extending Lucas rule ------------------------------------------
+
+def recurrence(p, q, count):
+    prev, cur, out = 0, 1, []
+    for _ in range(count):
+        out.append(cur)
+        prev, cur = cur, p * cur - q * prev
+    return out
+
+
+PQ = [(1, -1), (3, 2), (2, -1), (1, -2), (4, 3), (5, 6), (-3, 7), (2, 5)]
+
+
+class TestLucasPrefixCache:
+    @pytest.mark.parametrize("pq", PQ)
+    def test_late_term_first_matches_prefix(self, pq):
+        late_first = lucas(*pq)
+        assert late_first.term(500) == recurrence(*pq, 500)[-1]
+        assert late_first.prefix(500) == lucas(*pq).prefix(500) == recurrence(*pq, 500)
+
+    def test_fibonacci_late_term_first(self):
+        late_first = fibonacci()
+        last = late_first.term(500)
+        assert late_first.prefix(500) == fibonacci().prefix(500)
+        assert last == fibonacci().prefix(500)[-1]
+
+    @pytest.mark.parametrize("pq", PQ[:4])
+    def test_shuffled_access(self, pq):
+        order = list(range(1, 301))
+        random.Random(17).shuffle(order)
+        seq = lucas(*pq)
+        expected = recurrence(*pq, 300)
+        for n in order:
+            assert seq.term(n) == expected[n - 1]
+
+    def test_zero_term_raises_only_at_its_index(self):
+        seq = lucas(0, 1)  # 1, 0, -1, 0, 1, 0, ...
+        assert seq.term(3) == -1
+        for n in (2, 4, 6):
+            with pytest.raises(ZeroTermError) as exc:
+                seq.term(n)
+            assert exc.value.index == n
+        assert seq.term(5) == 1
+        assert seq.term(1) == 1
+        with pytest.raises(ZeroTermError) as exc:
+            seq.term(2)  # a zero is never cached, so it raises again
+        assert exc.value.index == 2
+        with pytest.raises(ZeroTermError) as exc:
+            lucas(0, 1).prefix(3)
+        assert exc.value.index == 2
+
+    def test_late_zero_does_not_poison_earlier_terms(self):
+        seq = lucas(1, 1)  # period 6: 1, 1, 0, -1, -1, 0
+        with pytest.raises(ZeroTermError):
+            seq.term(9)
+        assert [seq.term(n) for n in (1, 2, 4, 5, 7, 8)] == [1, 1, -1, -1, 1, 1]
+
+    def test_each_term_is_computed_once(self):
+        calls = []
+        rule = lucas(3, 2)._rule
+
+        def counted(n):
+            calls.append(n)
+            return rule(n)
+
+        seq = Sequence("counted", counted)
+        seq.prefix(200)
+        seq.term(100)
+        assert calls == list(range(1, 201))

@@ -433,3 +433,85 @@ class TestParserReuse:
         assert len(battery[1].splitlines()) == len(cls.PROPERTIES)
         args = _build_arg_parser().parse_args(["verify", "slice-identity", "I"])
         assert (args.n_max, args.m_max, args.k_max) == (6, 4, 6)
+
+
+class TestClassifyJsonExtras:
+    """`--per-prime` and `--profile` under `--format json`."""
+
+    BASE = ("classify", "cpow:6", "--bound", "4", "--only", "binomid")
+
+    def test_without_extras_the_document_is_the_report_list(self, capsys):
+        code, out, _ = run(capsys, *self.BASE, "--format", "json")
+        assert code == 0
+        assert json.loads(out) == [{"property": "binomid", "bound": 4,
+                                    "verdict": "holds_to_bound", "witness": None}]
+
+    def test_per_prime_alone(self, capsys):
+        code, out, _ = run(capsys, *self.BASE, "--per-prime", "7", "--format", "json")
+        assert code == 0
+        doc = json.loads(out)
+        assert list(doc) == ["reports", "per_prime"]
+        assert [r["property"] for r in doc["reports"]] == ["binomid"]
+        assert doc["per_prime"] == {
+            "prime_bound": 7, "bound": 4,
+            "primes": [{"prime": p, "property": "binomid_additive", "bound": 4,
+                        "verdict": "holds_to_bound", "witness": None} for p in (2, 3)],
+            "undecided": [], "combined_verdict": "holds_to_bound",
+            "agrees_with_direct": True}
+
+    def test_profile_alone(self, capsys):
+        code, out, _ = run(capsys, "classify", "fib", "--bound", "20", "--profile",
+                           "--format", "json")
+        assert code == 1  # fibonacci is not a divisor chain
+        doc = json.loads(out)
+        assert list(doc) == ["reports", "profile"]
+        assert len(doc["reports"]) == len(cls.PROPERTIES)
+        profile = doc["profile"]
+        assert profile["bound"] == 20
+        assert profile["precondition_ok"] is True
+        assert profile["precondition_witness"] is None
+        by_name = {c["name"]: c for c in profile["criteria"]}
+        assert list(by_name) == ["multiplicative", "homomorphic", "gcd_sequence"]
+        assert by_name["gcd_sequence"] == {
+            "name": "gcd_sequence", "verdict": "holds_to_bound", "witness": None,
+            "direct_verdict": "holds_to_bound", "agrees": True}
+        assert by_name["multiplicative"]["verdict"] == "fails"
+        assert by_name["multiplicative"]["witness"] == {"n": 6, "g": "4"}
+
+    def test_both_flags_together(self, capsys):
+        code, out, _ = run(capsys, *self.BASE, "--per-prime", "7", "--profile",
+                           "--format", "json")
+        assert code == 0
+        doc = json.loads(out)
+        assert list(doc) == ["reports", "per_prime", "profile"]
+        assert [p["prime"] for p in doc["per_prime"]["primes"]] == [2, 3]
+        assert doc["profile"] == {
+            "bound": 4, "precondition_ok": False,
+            "precondition_witness": {"reason": "first term is not 1", "value": "6"},
+            "criteria": []}
+
+    def test_undecided_terms_and_failing_primes(self, capsys):
+        code, out, _ = run(capsys, "classify", "list:1,2,3,4,5,12,7", "--bound", "7",
+                           "--only", "binomid", "--per-prime", "3", "--format", "json")
+        text_code, text, _ = run(capsys, "classify", "list:1,2,3,4,5,12,7", "--bound",
+                                 "7", "--only", "binomid", "--per-prime", "3")
+        assert code == text_code
+        per_prime = json.loads(out)["per_prime"]
+        assert per_prime["undecided"] == [{"n": 5, "cofactor": "5"},
+                                          {"n": 7, "cofactor": "7"}]
+        assert per_prime["agrees_with_direct"] is None
+        for entry in per_prime["primes"]:
+            assert f"per-prime {entry['prime']}: {entry['verdict']}" in text
+        assert "per-prime undecided: term 5 has cofactor 5 beyond prime bound 3" in text
+
+    def test_not_a_divisor_product_precondition(self, capsys):
+        code, out, _ = run(capsys, "classify", "list:1,2,2,2,2,2", "--bound", "6",
+                           "--only", "divisor_product", "--profile", "--format", "json")
+        assert code == 1
+        assert json.loads(out)["profile"]["precondition_witness"] == {
+            "reason": "not a divisor-product", "n": 6,
+            "value": {"num": "1", "den": "2"}}
+
+    def test_extras_are_deterministic(self, capsys):
+        argv = (*self.BASE, "--per-prime", "7", "--profile", "--format", "json")
+        assert run(capsys, *argv) == run(capsys, *argv)
