@@ -14,8 +14,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd
 
-from .core import (_prefix_factorials, col_seq, fbinom, fbinom_values,
-                   pyramid, triangle)
+from .core import _rows, col_seq, pyramid, triangle
 from .errors import InternalCheckError, NonIntegralEntryError
 from .numtheory import Sieve, primes_up_to
 from .sequences import Sequence
@@ -85,37 +84,33 @@ def _report(prop: str, bound: int, witness: dict | None, reduced: int | None = N
 def is_binomid(f: Sequence, bound: int) -> ClassificationReport:
     """Is every [n k] over f an integer, for n up to the bound?
 
-    The primary algorithm is the window-divisibility criterion: the product
-    of the first k terms must divide every product of k consecutive terms.
-    Each window grows by one term per step, and a row's scan stops at
-    k = n/2: a window of k terms is divisible exactly when the window of
-    n-k terms is, since both quotients are [n k] = [n n-k]. The first window
-    that leaves a remainder is the witness. It is cross-checked against the
-    integrality of the triangle, whose rows come from the entry-sized row
-    kernel: the first non-integral entry must sit exactly at the witness.
-    That entry never lies beyond the witness row, so the triangle is built
-    only that deep.
+    The rows come from the triangle's row kernel, built only down to the
+    witness: the first non-integral entry in row order. Every built row is
+    checked against the identity the definition gives between adjacent
+    rows, [n k] f(n-k) = [n-1 k] f(n) for 1 <= k <= n/2, with [n 0] = 1
+    and the row equal to its own reverse; by induction on n these fix
+    every entry, with no division and nothing larger than an entry times
+    a term. Rows above the witness are integral and compare as plain
+    integers; the witness row compares its numerators with its
+    denominators cross-multiplied. A mismatch is an arithmetic bug.
     """
     eff, reduced, note = _capped(f, bound)
-    fact = _prefix_factorials(f, eff)
     terms = f.prefix(eff)
     witness = None
-    for n in range(2, eff + 1):
-        window = 1
-        for k in range(1, n // 2 + 1):
-            window *= terms[n - k]
-            if window % fact[k]:
-                witness = {"m": n - k, "k": k, "n": n,
-                           "value": Fraction(window, fact[k])}
-                break
-        if witness:
+    above = []
+    for n, row in enumerate(_rows(terms)):
+        h = n // 2  # the next row's identity reads nums[h + 1]
+        nums = [q.numerator for q in row[:h + 2]]
+        dens = [q.denominator for q in row[:h + 1]]
+        lhs = [a * t for a, t in zip(nums[1:h + 1], reversed(terms[n - h - 1:n - 1]))]
+        rhs = [c * terms[n - 1] * b for c, b in zip(above[1:h + 1], dens[1:])]
+        if row != row[::-1] or nums[0] != 1 or dens[0] != 1 or lhs != rhs:
+            raise InternalCheckError(f"triangle row {n} fails the column identity")
+        if dens.count(1) <= h:
+            k = next(k for k, d in enumerate(dens) if d != 1)
+            witness = {"m": n - k, "k": k, "n": n, "value": row[k]}
             break
-    bad = triangle(f, eff if witness is None else witness["n"]).first_non_integral()
-    agree = (witness is None and bad is None) or (
-        witness is not None and bad is not None
-        and (bad[0], bad[1]) == (witness["n"], witness["k"]))
-    if not agree:
-        raise InternalCheckError("window criterion and triangle integrality disagree")
+        above = nums
     return _report("binomid", bound, witness, reduced, note)
 
 
@@ -176,18 +171,14 @@ def is_binomid_every_level(f: Sequence, depth: int, bound: int) -> Classificatio
 
 
 def _check_slices_match_columns(f: Sequence, pyr) -> None:
-    # slice n+m-1 carries the [n k] entries of column m; the two routes are
-    # required to agree, so any mismatch is an arithmetic bug
+    # row n of slice n+m-1 is row n of the triangle over column m; the two
+    # routes are required to agree, so any mismatch is an arithmetic bug
     for m in range(1, pyr.depth + 1):
-        colvals = [fbinom(f, N + m - 1, m) for N in range(1, pyr.depth - m + 2)]
-        for s in range(m, pyr.depth + 1):
-            n = s - m + 1
-            for k in range(n + 1):
-                expected = fbinom_values(colvals, n, k)
-                got = pyr.slice(s).entry(n, k)
-                if expected != got:
-                    raise InternalCheckError(
-                        f"slice {s} entry [{n} {k}] disagrees with column {m}")
+        column = triangle(col_seq(f, m), pyr.depth - m + 1)
+        for n in range(1, pyr.depth - m + 2):
+            if pyr.slice(n + m - 1).row(n) != column.row(n):
+                raise InternalCheckError(
+                    f"slice {n + m - 1} row {n} disagrees with column {m}")
 
 
 def mobius_invert(f: Sequence, count: int) -> list[Fraction]:

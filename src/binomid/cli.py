@@ -287,8 +287,7 @@ def _fmt_exact(q) -> str:
     return str(q)
 
 
-def _frac_pair(q) -> dict:
-    q = Fraction(q)
+def _frac_pair(q: Fraction) -> dict:
     return {"num": str(q.numerator), "den": str(q.denominator)}
 
 

@@ -33,14 +33,7 @@ def ffactorial(f: Sequence, n: int) -> int:
     """Product of the first n terms; the empty product is 1."""
     if n < 0:
         raise UndefinedTermError(f"factorial of negative index {n}", index=n)
-    return _prefix_factorials(f, n)[-1]
-
-
-def _prefix_factorials(f: Sequence, n: int) -> list[int]:
-    out = [1]
-    for i in range(1, n + 1):
-        out.append(out[-1] * f.term(i))
-    return out
+    return prod(f.prefix(n))
 
 
 def fbinom(f: Sequence, n: int, k: int) -> Fraction:
@@ -128,24 +121,33 @@ def _row(term, n: int, last: int):
         yield value
 
 
+def _rows(terms: list[int]):
+    """Yield rows 0..len(terms) of the triangle over the 1-indexed terms.
+
+    Each row is a list of Fractions from the row kernel, so every step
+    multiplies and divides integers the size of the entries, never
+    factorials; the kernel walks half the row and the rest is its mirror
+    image, since [n k] = [n n-k].
+    """
+    term = [0, *terms].__getitem__
+    for n in range(len(terms) + 1):
+        half = list(_row(term, n, n // 2))
+        yield half + half[:(n + 1) // 2][::-1]
+
+
 def triangle(f: Sequence, depth: int) -> Triangle:
     """Build the triangle to the given depth, capped at a finite length.
 
-    The terms are materialized once, in index order. Each row comes from
-    the row kernel, so every step multiplies and divides integers the size
-    of the entries, never factorials; the kernel walks half the row and
-    the rest is its mirror image, since [n k] = [n n-k].
+    The terms are materialized once, in index order, and the rows come
+    from the row kernel (`_rows`), the one source of triangle entries:
+    `is_binomid` reads the same rows, down to its witness row, and guards
+    each against the identity between adjacent rows.
     """
     if depth < 0:
         raise ValueError("depth must be nonnegative")
     if f.length is not None:
         depth = min(depth, f.length)
-    term = [0, *f.prefix(depth)].__getitem__
-    rows = []
-    for n in range(depth + 1):
-        half = list(_row(term, n, n // 2))
-        rows.append(tuple(half + half[:(n + 1) // 2][::-1]))
-    return Triangle(f, depth, tuple(rows))
+    return Triangle(f, depth, tuple(map(tuple, _rows(f.prefix(depth)))))
 
 
 def _require_unit_first(f: Sequence) -> None:

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from math import comb, factorial
 
-from .core import fbinom, fbinom_values, ffactorial
+from .core import fbinom, fbinom_values, ffactorial, triangle
 from .errors import InternalCheckError
 from .sequences import Sequence, h_m, pascal_column
 
@@ -198,11 +198,11 @@ def check_symmetry(f: Sequence) -> CheckResult:
     for k in range(1, n + 1):
         if f.term(k) != f.term(n + 1 - k):
             raise ValueError(f"sequence is not symmetric at k={k}")
-    values = f.prefix(n)
+    rows = triangle(f, n).rows
     for c in range(n + 1):
         for k in range(n - c + 1):
-            col_entry = fbinom_values(values, c + k, c)
-            row_entry = fbinom_values(values, n - c, k)
+            col_entry = rows[c + k][c]
+            row_entry = rows[n - c][k]
             if col_entry != row_entry:
                 return CheckResult("symmetry", False, "rotation_violated",
                                    {"c": c, "k": k, "column_value": col_entry,
@@ -212,13 +212,19 @@ def check_symmetry(f: Sequence) -> CheckResult:
 
 def check_slice_identity(f: Sequence, n_max: int, m_max: int, k_max: int) -> CheckResult:
     """[n k] over column m equals [n k] over row n+m-1, and also equals the
-    [k+m m] entry of the same row triangle, exactly, over the whole range."""
+    [k+m m] entry of the same row triangle, exactly, over the whole range.
+    The values come from one triangle of f, after fetching its terms, so a
+    short finite input raises rather than capping the triangle."""
+    if n_max < 1 or m_max < 0 or k_max < 0:
+        raise ValueError("need n_max >= 1, m_max >= 0 and k_max >= 0")
     if f.term(1) != 1:
         raise ValueError(f"{f.name}: first term must be 1")
+    f.prefix(n_max + m_max - 1)
+    rows = triangle(f, n_max + m_max - 1).rows
     for m in range(m_max + 1):
-        colvals = [fbinom(f, N + m - 1, m) for N in range(1, n_max + 1)]
+        colvals = [rows[N + m - 1][m] for N in range(1, n_max + 1)]
         for n in range(1, n_max + 1):
-            rowvals = [fbinom(f, n + m - 1, N - 1) for N in range(1, n + m + 1)]
+            rowvals = rows[n + m - 1]
             for k in range(min(n, k_max) + 1):
                 lhs = fbinom_values(colvals, n, k)
                 rhs = fbinom_values(rowvals, n, k)

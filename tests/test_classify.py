@@ -121,6 +121,37 @@ class TestEveryLevel:
             is_binomid_every_level(power_seq(2), 4, 6)
 
 
+def _bump_slice_entry(pyr, s, n, k):
+    rows = [list(row) for row in pyr.slices[s].rows]
+    rows[n][k] += 1
+    bad = dataclasses.replace(pyr.slices[s], rows=tuple(map(tuple, rows)))
+    return dataclasses.replace(pyr, slices=pyr.slices[:s] + (bad,) + pyr.slices[s + 1:])
+
+
+class TestSlicesMatchColumnsIsLive:
+    """Row n of pyramid slice n+m-1 must equal row n of the triangle over
+    column m; corrupting one slice entry must raise."""
+
+    def test_intact_pyramid_passes(self):
+        pyr = binomid.classify.pyramid(fibonacci(), 6)
+        assert binomid.classify._check_slices_match_columns(fibonacci(), pyr) is None
+
+    @pytest.mark.parametrize("s, n, k", [(1, 1, 0), (3, 2, 1), (6, 6, 3), (6, 1, 1)])
+    def test_one_corrupted_entry_is_caught(self, s, n, k):
+        pyr = _bump_slice_entry(binomid.classify.pyramid(fibonacci(), 6), s, n, k)
+        with pytest.raises(InternalCheckError, match=f"slice {s} row {n} "):
+            binomid.classify._check_slices_match_columns(fibonacci(), pyr)
+
+    def test_classify_levels_exits_3(self, capsys, monkeypatch):
+        original = binomid.classify.pyramid
+        monkeypatch.setattr(binomid.classify, "pyramid",
+                            lambda f, depth: _bump_slice_entry(original(f, depth), 4, 3, 1))
+        assert main(["classify", "fib", "--bound", "10", "--levels", "5"]) == 3
+        captured = capsys.readouterr()
+        assert captured.err == ("error: internal check failed: "
+                                "slice 4 row 3 disagrees with column 2\n")
+
+
 class TestMobiusInvert:
     def test_mersenne_gives_cyclotomic_values(self):
         values = mobius_invert(g_ab(2, 1), 10)
@@ -464,6 +495,54 @@ class TestImplications:
         # binomid does not give divisible
         assert is_binomid(triangular_seq(), 12).holds()
         assert not is_divisible(triangular_seq(), 12).holds()
+
+
+signed_terms = st.one_of(st.sampled_from([1, -1]), st.integers(-6, 6).filter(bool))
+signed_lists = st.lists(signed_terms, min_size=1, max_size=9)
+
+
+def implication_chain(f, bound):
+    """Check the chain at one bound; return the premises that held."""
+    gcd_v = is_gcd_sequence(f, bound).holds()
+    dual_v = is_dual_gcd(f, bound).holds()
+    binomid_v = is_binomid(f, bound).holds()
+    dp_v = is_divisor_product(f, bound).holds()
+    div_v = is_divisible(f, bound).holds()
+    if gcd_v:
+        assert dual_v and dp_v, f.name
+    if dual_v:
+        assert binomid_v, f.name
+    if dp_v:
+        assert div_v, f.name
+    return {"gcd": gcd_v, "dual_gcd": dual_v, "divisor_product": dp_v}
+
+
+class TestImplicationProperty:
+    """gcd => dual-gcd and divisor-product, dual-gcd => binomid and
+    divisor-product => divisible, over random inputs. The pair scans and the
+    Mobius inversion share no code with the triangle kernel, so this also
+    checks the kernel's binomid verdict."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(signed_lists)
+    def test_on_signed_lists(self, values):
+        implication_chain(from_list(values), len(values))
+
+    @settings(max_examples=200, deadline=None)
+    @given(signed_lists)
+    def test_on_divisor_products(self, values):
+        implication_chain(divisor_product_of(from_list(values)), len(values))
+
+    def test_every_premise_fires(self):
+        rng = random.Random(61)
+        fired = dict.fromkeys(("gcd", "dual_gcd", "divisor_product"), 0)
+        for _ in range(300):
+            values = [rng.choice([1, -1, 1, -1, 2, -2, 3, 4, 6])
+                      for _ in range(rng.randint(1, 8))]
+            for f in (from_list(values), divisor_product_of(from_list(values))):
+                for name, held in implication_chain(f, len(values)).items():
+                    fired[name] += held
+        assert min(fired.values()) >= 100, fired
 
 
 class TestColumnReuse:

@@ -346,6 +346,14 @@ class TestVerifyCommand:
                            "--n-max", "5", "--m-max", "3", "--k-max", "5")
         assert code == 0
 
+    @pytest.mark.parametrize("flag, value", [("--n-max", "0"), ("--m-max", "-1"),
+                                             ("--k-max", "-3")])
+    def test_slice_identity_empty_range_exits_2(self, capsys, flag, value):
+        code, out, err = run(capsys, "verify", "slice-identity", "I", flag, value)
+        assert code == 2
+        assert out == ""
+        assert err == "error: need n_max >= 1, m_max >= 0 and k_max >= 0\n"
+
     def test_pyramid_entry_monomial(self, capsys):
         code, out, _ = run(capsys, "verify", "pyramid-entry",
                            "--m", "2", "--n", "4", "--k", "2")

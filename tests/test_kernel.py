@@ -5,6 +5,10 @@ The oracle routes here are the old implementations, kept in tests only:
 entries as Fraction(fact[n], fact[k] * fact[n-k]), row extraction by one
 `fbinom` per entry, and witnesses by a brute-force scan of the oracle
 triangle.
+
+`is_binomid` once decided by the window-divisibility criterion (the
+product of the first k terms divides every product of k consecutive
+terms); that scan is kept here as a second witness oracle.
 """
 
 from fractions import Fraction
@@ -13,6 +17,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import binomid.classify
 import binomid.core
 from binomid import (InternalCheckError, NonIntegralEntryError, Sequence,
                      fbinom, fibonacci, from_list, is_binomid, row_seq,
@@ -49,6 +54,20 @@ def first_non_integral(rows):
         for k, value in enumerate(row):
             if value.denominator != 1:
                 return n, k, value
+    return None
+
+
+def window_scan_witness(values):
+    """is_binomid's witness as the window-divisibility scan found it."""
+    fact = [1]
+    for v in values:
+        fact.append(fact[-1] * v)
+    for n in range(2, len(values) + 1):
+        window = 1
+        for k in range(1, n // 2 + 1):
+            window *= values[n - k]
+            if window % fact[k]:
+                return {"m": n - k, "k": k, "n": n, "value": Fraction(window, fact[k])}
     return None
 
 
@@ -91,6 +110,7 @@ class TestKernelAgainstFactorialQuotients:
             n, k, value = bad
             assert not rep.holds()
             assert rep.witness == {"m": n - k, "k": k, "n": n, "value": value}
+        assert rep.witness == window_scan_witness(values)
 
     @settings(max_examples=150, deadline=None)
     @given(term_lists, st.integers(0, 12))
@@ -169,5 +189,55 @@ class TestCrossCheckIsLive:
         captured = capsys.readouterr()
         assert code == 3
         assert captured.out == ""
-        assert captured.err == ("error: internal check failed: window criterion "
-                                "and triangle integrality disagree\n")
+        assert captured.err == ("error: internal check failed: triangle row 4 "
+                                "fails the column identity\n")
+
+    def test_mirrored_half_is_guarded(self, monkeypatch):
+        # [6 4] is a copy of [6 2] in the kernel's rows; change only the copy
+        original = binomid.classify._rows
+
+        def corrupted(terms):
+            for n, row in enumerate(original(terms)):
+                if n == 6:
+                    row[4] += 1
+                yield row
+
+        assert is_binomid(fibonacci(), 8).holds()
+        monkeypatch.setattr(binomid.classify, "_rows", corrupted)
+        with pytest.raises(InternalCheckError, match="row 6"):
+            is_binomid(fibonacci(), 8)
+
+    def test_fractional_mirror_is_guarded(self, monkeypatch):
+        # a spurious fraction past the middle of a row, where the kernel
+        # never walks, is caught before it could become a witness
+        original = binomid.classify._rows
+
+        def corrupted(terms):
+            for n, row in enumerate(original(terms)):
+                if n == 5:
+                    row[3] += Fraction(1, 2)
+                yield row
+
+        monkeypatch.setattr(binomid.classify, "_rows", corrupted)
+        with pytest.raises(InternalCheckError, match="row 5"):
+            is_binomid(from_list(range(1, 9)), 8)
+
+    def test_unit_edge_is_guarded(self, monkeypatch):
+        # [4 0] = [4 4] = 2 keeps the row a palindrome and leaves every
+        # 1 <= k <= n/2 alone, so only the unit edge catches it
+        _corrupt_kernel(monkeypatch, 4, 0, 1)
+        with pytest.raises(InternalCheckError, match="row 4"):
+            is_binomid(from_list(range(1, 7)), 6)
+
+    def test_rows_stop_at_the_witness_row(self, monkeypatch, two_pow_a):
+        built = []
+        original = binomid.classify._rows
+
+        def counted(terms):
+            for n, row in enumerate(original(terms)):
+                built.append(n)
+                yield row
+
+        monkeypatch.setattr(binomid.classify, "_rows", counted)
+        assert is_binomid(two_pow_a, 20).witness["n"] == 6
+        assert built == list(range(7))

@@ -1,7 +1,9 @@
 """The property battery and the spec grammar each live in one table; these
 tests tie the tables to the classifiers, the CLI and the README."""
 
+import ast
 import re
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
@@ -28,3 +30,29 @@ def test_readme_grammar_names_every_kind():
     block = text.split("### Sequence expressions", 1)[1].split("```")[1]
     names = set(re.findall(r"[A-Za-z_]\w*", block))
     assert set(_KINDS) <= names
+
+
+def test_readme_quick_tour_values():
+    # run the block statement by statement; a trailing `# value` comment is
+    # the value of the expression, or of the name assigned, and a value
+    # ending in `...` is the start of a sequence
+    block = README.read_text().split("## Library quick tour", 1)[1]
+    block = block.split("```python\n", 1)[1].split("```", 1)[0]
+    lines = block.splitlines()
+    namespace = {}
+    checked = 0
+    for node in ast.parse(block).body:
+        if isinstance(node, ast.Expr):
+            value = eval(compile(ast.Expression(node.value), "README", "eval"), namespace)
+        else:
+            exec(compile(ast.Module([node], []), "README", "exec"), namespace)
+            value = namespace[node.targets[0].id] if isinstance(node, ast.Assign) else None
+        comment = lines[node.end_lineno - 1].partition("#")[2].strip()
+        if not comment:
+            continue
+        expected = eval(comment, {"Fraction": Fraction})
+        if isinstance(expected, tuple) and expected[-1] is Ellipsis:
+            value, expected = tuple(value.prefix(len(expected) - 1)), expected[:-1]
+        assert value == expected, lines[node.end_lineno - 1]
+        checked += 1
+    assert checked == 5

@@ -15,6 +15,7 @@ from binomid import (ExponentVector, check_delta_pattern,
                      generic_factorial_exponents, generic_pyramid_entry,
                      h_m, identity_seq, is_binomid, pascal_row,
                      triangular_seq)
+from binomid import CheckResult, Sequence
 
 
 def brute_factorial_exponents(n):
@@ -246,6 +247,88 @@ class TestSliceIdentity:
     def test_requires_unit_first_term(self):
         with pytest.raises(ValueError):
             check_slice_identity(const_seq(2), 4, 3, 4)
+
+    @pytest.mark.parametrize("n_max, m_max, k_max", [(0, 4, 6), (6, -1, 6), (6, 4, -3)])
+    def test_empty_range_is_rejected(self, n_max, m_max, k_max):
+        with pytest.raises(ValueError, match="need n_max >= 1, m_max >= 0 and k_max >= 0"):
+            check_slice_identity(identity_seq(), n_max, m_max, k_max)
+
+
+def fbinom_symmetry(f):
+    """check_symmetry as it was before it read a kernel triangle."""
+    if f.length is None:
+        raise ValueError("symmetry check needs a finite sequence")
+    n = f.length
+    for k in range(1, n + 1):
+        if f.term(k) != f.term(n + 1 - k):
+            raise ValueError(f"sequence is not symmetric at k={k}")
+    values = f.prefix(n)
+    for c in range(n + 1):
+        for k in range(n - c + 1):
+            col_entry = fbinom_values(values, c + k, c)
+            row_entry = fbinom_values(values, n - c, k)
+            if col_entry != row_entry:
+                return CheckResult("symmetry", False, "rotation_violated",
+                                   {"c": c, "k": k, "column_value": col_entry,
+                                    "row_value": row_entry})
+    return CheckResult("symmetry", True, "holds")
+
+
+def fbinom_slice_identity(f, n_max, m_max, k_max):
+    """check_slice_identity as it was before it read a kernel triangle."""
+    if f.term(1) != 1:
+        raise ValueError(f"{f.name}: first term must be 1")
+    for m in range(m_max + 1):
+        colvals = [fbinom(f, N + m - 1, m) for N in range(1, n_max + 1)]
+        for n in range(1, n_max + 1):
+            rowvals = [fbinom(f, n + m - 1, N - 1) for N in range(1, n + m + 1)]
+            for k in range(min(n, k_max) + 1):
+                lhs = fbinom_values(colvals, n, k)
+                rhs = fbinom_values(rowvals, n, k)
+                alt = fbinom_values(rowvals, k + m, m)
+                if lhs != rhs or lhs != alt:
+                    return CheckResult("slice_identity", False, "slice_mismatch",
+                                       {"n": n, "k": k, "m": m,
+                                        "column_value": lhs, "row_value": rhs,
+                                        "note_value": alt})
+    return CheckResult("slice_identity", True, "holds")
+
+
+def outcome(check, values, *args):
+    # a fresh sequence per route: zero terms raise when first touched
+    f = Sequence("z", lambda n: values[n - 1], length=len(values))
+    try:
+        return check(f, *args)
+    except Exception as exc:  # noqa: BLE001 - the type and message are the outcome
+        return type(exc).__name__, str(exc)
+
+
+small_terms = st.sampled_from([0, 1, 1, -1, 2, -2, 3, 4, 6])
+
+
+@st.composite
+def palindromes(draw):
+    half = draw(st.lists(small_terms, min_size=1, max_size=5))
+    return half + half[::-1][draw(st.integers(0, 1)):]
+
+
+class TestChecksAgainstFbinomRoute:
+    """check_symmetry and check_slice_identity read a kernel triangle; the
+    per-entry fbinom routes they replaced, kept above, are the oracle for
+    results, witnesses and errors, zero terms and short inputs included."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.one_of(palindromes(), st.lists(small_terms, min_size=1, max_size=8)))
+    def test_symmetry(self, values):
+        assert outcome(check_symmetry, values) == outcome(fbinom_symmetry, values)
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.one_of(st.lists(small_terms, min_size=1, max_size=9).map(lambda v: [1] + v),
+                     st.lists(small_terms, min_size=1, max_size=9)),
+           st.integers(1, 5), st.integers(0, 4), st.integers(0, 5))
+    def test_slice_identity(self, values, n_max, m_max, k_max):
+        args = (values, n_max, m_max, k_max)
+        assert outcome(check_slice_identity, *args) == outcome(fbinom_slice_identity, *args)
 
 
 class TestDeterminantIdentity:
