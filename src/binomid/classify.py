@@ -17,7 +17,7 @@ from math import gcd
 from .core import _rows, col_seq, pyramid, triangle
 from .errors import InternalCheckError, NonIntegralEntryError
 from .numtheory import Sieve, primes_up_to
-from .sequences import Sequence
+from .sequences import Sequence, _Terms
 
 HOLDS = "holds_to_bound"
 FAILS = "fails"
@@ -243,10 +243,11 @@ def is_divisor_product(f: Sequence, bound: int) -> ClassificationReport:
 def is_divisor_chain(f: Sequence, bound: int) -> ClassificationReport:
     """Does every term divide its successor?"""
     eff, reduced, note = _capped(f, bound)
+    t = _Terms(f)
     witness = None
     for n in range(1, eff):
-        if f.term(n + 1) % f.term(n):
-            witness = {"n": n, "f_n": f.term(n), "f_next": f.term(n + 1)}
+        if t[n + 1] % t[n]:
+            witness = {"n": n, "f_n": t[n], "f_next": t[n + 1]}
             break
     return _report("divisor_chain", bound, witness, reduced, note)
 
@@ -255,12 +256,13 @@ def is_divisible(f: Sequence, bound: int) -> ClassificationReport:
     """k | n implies f(k) | f(n), over all pairs within the bound."""
     eff, reduced, note = _capped(f, bound)
     sieve = Sieve(eff)
+    t = _Terms(f)
     witness = None
     for n in range(2, eff + 1):
-        f_n = f.term(n)
+        f_n = t[n]
         for k in sieve.divisors(n)[:-1]:
-            if f_n % f.term(k):
-                witness = {"k": k, "n": n, "f_k": f.term(k), "f_n": f_n}
+            if f_n % t[k]:
+                witness = {"k": k, "n": n, "f_k": t[k], "f_n": f_n}
                 break
         if witness:
             break
@@ -270,14 +272,16 @@ def is_divisible(f: Sequence, bound: int) -> ClassificationReport:
 def is_gcd_sequence(f: Sequence, bound: int) -> ClassificationReport:
     """gcd(f(m), f(n)) = |f(gcd(m, n))| for all pairs within the bound.
 
-    Term gcds use absolute values, since terms may be negative.
+    Terms may be negative; `gcd` of signed terms is already nonnegative.
     """
     eff, reduced, note = _capped(f, bound)
+    t = _Terms(f)
     witness = None
-    for m in range(1, eff + 1):
+    for m in range(1, eff):  # m = eff has no partner: at eff = 1 nothing is read
+        f_m = t[m]
         for n in range(m + 1, eff + 1):
-            got = gcd(abs(f.term(m)), abs(f.term(n)))
-            expected = abs(f.term(gcd(m, n)))
+            got = gcd(f_m, t[n])
+            expected = abs(t[gcd(m, n)])
             if got != expected:
                 witness = {"m": m, "n": n, "gcd": got, "expected": expected}
                 break
@@ -289,12 +293,14 @@ def is_gcd_sequence(f: Sequence, bound: int) -> ClassificationReport:
 def is_dual_gcd(f: Sequence, bound: int) -> ClassificationReport:
     """gcd(f(m), f(n)) divides f(m+n), for all pairs with m+n within bound."""
     eff, reduced, note = _capped(f, bound)
+    t = _Terms(f)
     witness = None
     for m in range(1, eff // 2 + 1):
+        f_m = t[m]
         for n in range(m, eff - m + 1):
-            g = gcd(abs(f.term(m)), abs(f.term(n)))
-            if f.term(m + n) % g:
-                witness = {"m": m, "n": n, "gcd": g, "f_sum": f.term(m + n)}
+            g = gcd(f_m, t[n])
+            if t[m + n] % g:
+                witness = {"m": m, "n": n, "gcd": g, "f_sum": t[m + n]}
                 break
         if witness:
             break
@@ -316,12 +322,13 @@ def is_homomorphic(f: Sequence, bound: int) -> ClassificationReport:
 
 
 def _product_rule_witness(f: Sequence, eff: int, coprime_only: bool) -> dict | None:
+    t = _Terms(f)
     for a in range(1, eff + 1):
         b = a
         while a * b <= eff:
             if not coprime_only or gcd(a, b) == 1:
-                lhs = f.term(a) * f.term(b)
-                rhs = f.term(a * b)
+                lhs = t[a] * t[b]
+                rhs = t[a * b]
                 if lhs != rhs:
                     return {"a": a, "b": b, "product_of_terms": lhs,
                             "term_of_product": rhs}
@@ -465,10 +472,11 @@ def divisor_product_profile(f: Sequence, bound: int) -> DivisorProductProfile:
     gcd_witness = None
     for m in range(2, eff + 1):
         for n in range(m + 1, eff + 1):
-            if n % m and gcd(abs(g[m - 1]), abs(g[n - 1])) != 1:
-                gcd_witness = {"m": m, "n": n,
-                               "gcd": gcd(abs(g[m - 1]), abs(g[n - 1]))}
-                break
+            if n % m:
+                common = gcd(g[m - 1], g[n - 1])
+                if common != 1:
+                    gcd_witness = {"m": m, "n": n, "gcd": common}
+                    break
         if gcd_witness:
             break
 

@@ -13,7 +13,7 @@ from math import comb, factorial
 from typing import Callable
 
 from .errors import UndefinedTermError, ZeroTermError
-from .numtheory import divisors
+from .numtheory import Sieve
 
 __all__ = [
     "Sequence",
@@ -44,10 +44,13 @@ class Sequence:
 
     Terms come from `rule` and are cached with compute-once semantics, so
     concurrent readers observe identical values. The lock is reentrant, so
-    a rule may read earlier terms of its own sequence.
+    a rule may read earlier terms of its own sequence. The cache holds only
+    defined indices with nonzero terms, so `term` answers from it before
+    checking the index; an undefined index or a zero term is never cached
+    and raises on every read.
     """
 
-    __slots__ = ("name", "length", "_rule", "_cache", "_lock")
+    __slots__ = ("name", "length", "_rule", "_cache", "_lock", "__weakref__")
 
     def __init__(self, name: str, rule: Callable[[int], int], length: int | None = None):
         if length is not None and length < 0:
@@ -70,10 +73,10 @@ class Sequence:
         return n >= 1 and (self.length is None or n <= self.length)
 
     def term(self, n: int) -> int:
-        if not self.defined_at(n):
-            raise UndefinedTermError(f"{self.name}: term {n} is undefined", index=n)
         value = self._cache.get(n)
         if value is None:
+            if not self.defined_at(n):
+                raise UndefinedTermError(f"{self.name}: term {n} is undefined", index=n)
             with self._lock:
                 value = self._cache.get(n)
                 if value is None:
@@ -86,6 +89,27 @@ class Sequence:
     def prefix(self, count: int) -> list[int]:
         """The first `count` terms as a list."""
         return [self.term(n) for n in range(1, count + 1)]
+
+
+class _Terms(dict):
+    """One scan's view of a sequence: index -> term, read on first touch.
+
+    The first read of an index goes through `Sequence.term`, so terms are
+    computed, and zero or undefined terms raise, at the same indices and in
+    the same order as direct calls would; every later read is a plain dict
+    hit. A scan keeps it as a local: it points at the sequence and never
+    the other way round, so no reference cycle outlives the scan.
+    """
+
+    __slots__ = ("_term",)
+
+    def __init__(self, f: Sequence):
+        super().__init__()
+        self._term = f.term
+
+    def __missing__(self, n: int) -> int:
+        value = self[n] = self._term(n)
+        return value
 
 
 def from_list(values, name: str | None = None) -> Sequence:
@@ -183,11 +207,20 @@ def fibonacci() -> Sequence:
 
 
 def divisor_product_of(g: Sequence) -> Sequence:
-    """Term n is the product of g over all divisors of n."""
+    """Term n is the product of g over all divisors of n.
+
+    Divisors come from a sieve that the rule rebuilds at twice its limit
+    (or at n) when an index passes it; the sequence's lock serializes the
+    rule, so the sieve needs no lock of its own.
+    """
+    sieve = Sieve(0)
 
     def rule(n: int) -> int:
+        nonlocal sieve
+        if n > sieve.limit:
+            sieve = Sieve(max(2 * sieve.limit, n))
         total = 1
-        for d in divisors(n):
+        for d in sieve.divisors(n):
             total *= g.term(d)
         return total
 

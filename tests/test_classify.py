@@ -1,5 +1,7 @@
 import dataclasses
+import gc
 import random
+import weakref
 from fractions import Fraction
 from math import gcd, prod
 
@@ -9,9 +11,10 @@ from hypothesis import strategies as st
 
 import binomid.classify
 from binomid import (FAILS, HOLDS, InternalCheckError, Sequence,
-                     UndefinedTermError,
+                     UndefinedTermError, ZeroTermError,
                      additive_binomid_check, col_seq, compose_power,
-                     divisor_product_of, divisor_product_profile, factorial_seq,
+                     divisor_product_of, divisor_product_profile, divisors,
+                     factorial_seq,
                      fbinom, fibonacci, from_list, g_ab, identity_seq,
                      is_binomid, is_binomid_at_level, is_binomid_every_level,
                      is_divisible, is_divisor_chain, is_divisor_product,
@@ -565,3 +568,222 @@ class TestOpenObservations:
         rep = is_binomid_every_level(from_list([1, 2, 6, 24]), 9, 12)
         assert rep.holds()
         assert "depth reduced to 4" in rep.note
+
+
+# The pair scans as they read terms before the per-scan memo: one
+# `Sequence.term` call per read, divisors by trial division. They are the
+# oracle for the memo's touch order, errors and witnesses.
+
+def direct_divisor_chain(f, bound):
+    eff, reduced, note = binomid.classify._capped(f, bound)
+    witness = None
+    for n in range(1, eff):
+        if f.term(n + 1) % f.term(n):
+            witness = {"n": n, "f_n": f.term(n), "f_next": f.term(n + 1)}
+            break
+    return binomid.classify._report("divisor_chain", bound, witness, reduced, note)
+
+
+def direct_divisible(f, bound):
+    eff, reduced, note = binomid.classify._capped(f, bound)
+    witness = None
+    for n in range(2, eff + 1):
+        f_n = f.term(n)
+        for k in divisors(n)[:-1]:
+            if f_n % f.term(k):
+                witness = {"k": k, "n": n, "f_k": f.term(k), "f_n": f_n}
+                break
+        if witness:
+            break
+    return binomid.classify._report("divisible", bound, witness, reduced, note)
+
+
+def direct_gcd_sequence(f, bound):
+    eff, reduced, note = binomid.classify._capped(f, bound)
+    witness = None
+    for m in range(1, eff + 1):
+        for n in range(m + 1, eff + 1):
+            got = gcd(abs(f.term(m)), abs(f.term(n)))
+            expected = abs(f.term(gcd(m, n)))
+            if got != expected:
+                witness = {"m": m, "n": n, "gcd": got, "expected": expected}
+                break
+        if witness:
+            break
+    return binomid.classify._report("gcd_sequence", bound, witness, reduced, note)
+
+
+def direct_dual_gcd(f, bound):
+    eff, reduced, note = binomid.classify._capped(f, bound)
+    witness = None
+    for m in range(1, eff // 2 + 1):
+        for n in range(m, eff - m + 1):
+            g = gcd(abs(f.term(m)), abs(f.term(n)))
+            if f.term(m + n) % g:
+                witness = {"m": m, "n": n, "gcd": g, "f_sum": f.term(m + n)}
+                break
+        if witness:
+            break
+    return binomid.classify._report("dual_gcd", bound, witness, reduced, note)
+
+
+def direct_product_rule(prop, coprime_only):
+    def witness_of(f, eff):
+        for a in range(1, eff + 1):
+            b = a
+            while a * b <= eff:
+                if not coprime_only or gcd(a, b) == 1:
+                    lhs = f.term(a) * f.term(b)
+                    rhs = f.term(a * b)
+                    if lhs != rhs:
+                        return {"a": a, "b": b, "product_of_terms": lhs,
+                                "term_of_product": rhs}
+                b += 1
+        return None
+
+    def scan(f, bound):
+        eff, reduced, note = binomid.classify._capped(f, bound)
+        return binomid.classify._report(prop, bound, witness_of(f, eff), reduced, note)
+    return scan
+
+
+SCANS = [
+    (is_divisor_chain, direct_divisor_chain),
+    (is_divisible, direct_divisible),
+    (is_gcd_sequence, direct_gcd_sequence),
+    (is_dual_gcd, direct_dual_gcd),
+    (is_multiplicative, direct_product_rule("multiplicative", True)),
+    (is_homomorphic, direct_product_rule("homomorphic", False)),
+]
+SCAN_IDS = [fast.__name__ for fast, _ in SCANS]
+
+
+def recorded(values, calls):
+    """A finite sequence over `values` (zeros allowed) logging each rule call."""
+    def rule(n):
+        calls.append(n)
+        return values[n - 1]
+    return Sequence("recorded", rule, length=len(values))
+
+
+def outcome(scan, f, bound, warm):
+    for n in warm:  # terms some earlier scan already read, or failed to
+        try:
+            f.term(n)
+        except ZeroTermError:
+            pass
+    try:
+        return scan(f, bound)
+    except (ZeroTermError, UndefinedTermError) as exc:
+        return type(exc), exc.index
+
+
+@st.composite
+def lists_with_zeros(draw):
+    length = draw(st.integers(1, 12))
+    term = st.sampled_from([0, 1, -1, 1, 2, -2, 3, 4, -4, 6, 12])
+    values = draw(st.lists(term, min_size=length, max_size=length))
+    bound = draw(st.integers(1, 14))
+    warm = draw(st.lists(st.integers(1, length), max_size=3))
+    return values, bound, warm
+
+
+class TestScansAgainstDirectReads:
+    """Each scan reads terms through a per-scan memo; its report or error and
+    the order of rule calls must be those of one `f.term` call per read."""
+
+    @pytest.mark.parametrize("fast, direct", SCANS, ids=SCAN_IDS)
+    @settings(max_examples=150, deadline=None)
+    @given(lists_with_zeros())
+    def test_same_outcome_and_rule_calls(self, fast, direct, drawn):
+        values, bound, warm = drawn
+        fast_calls, direct_calls = [], []
+        got = outcome(fast, recorded(values, fast_calls), bound, warm)
+        expected = outcome(direct, recorded(values, direct_calls), bound, warm)
+        assert got == expected
+        assert fast_calls == direct_calls
+
+    @pytest.mark.parametrize("fast, direct", SCANS, ids=SCAN_IDS)
+    @settings(max_examples=60, deadline=None)
+    @given(lists_with_zeros())
+    def test_same_on_divisor_products(self, fast, direct, drawn):
+        # P(g) reads g at every divisor, so a zero of g surfaces at the
+        # first index of P whose divisors reach it
+        values, bound, warm = drawn
+        fast_calls, direct_calls = [], []
+        got = outcome(fast, divisor_product_of(recorded(values, fast_calls)),
+                      bound, warm)
+        expected = outcome(direct, divisor_product_of(recorded(values, direct_calls)),
+                           bound, warm)
+        assert got == expected
+        assert fast_calls == direct_calls
+
+    @pytest.mark.parametrize("fast, direct", SCANS, ids=SCAN_IDS)
+    def test_same_on_named_families(self, fast, direct, phi_seq, h_divisible):
+        for make in (fibonacci, lambda: lucas(3, 2), identity_seq,
+                     triangular_seq, factorial_seq, lambda: phi_seq,
+                     lambda: h_divisible, lambda: compose_power(2, identity_seq())):
+            assert fast(make(), 40) == direct(make(), 40)
+
+    def test_every_outcome_kind_occurs(self):
+        # the drawn lists reach passes, witnesses and zero terms alike
+        rng = random.Random(62)
+        kinds = set()
+        for _ in range(300):
+            values = [rng.choice([0, 1, -1, 1, 2, -2, 3, 4, 6])
+                      for _ in range(rng.randint(1, 10))]
+            for fast, _ in SCANS:
+                got = outcome(fast, recorded(values, []), len(values), [])
+                kinds.add(got[0] if isinstance(got, tuple) else got.verdict)
+        assert kinds == {HOLDS, FAILS, ZeroTermError}
+
+
+def full_battery(f, bound):
+    for name in binomid.classify.PROPERTIES:
+        getattr(binomid.classify, f"is_{name}")(f, bound)
+    divisor_product_profile(f, bound)
+    per_prime_decomposition(f, bound, 7)
+
+
+class TestScansKeepNoCycle:
+    """A scan's memo points at the sequence, never back, so a finished job's
+    terms are freed by reference counting alone."""
+
+    @pytest.fixture(autouse=True)
+    def no_cyclic_collector(self):
+        was_enabled = gc.isenabled()
+        gc.disable()
+        yield
+        if was_enabled:
+            gc.enable()
+
+    @pytest.mark.parametrize("make", [fibonacci, identity_seq, lambda: lucas(3, 2),
+                                      lambda: from_list([1, 2, 2, 4, 2, 4, 2, 8])])
+    def test_sequence_is_freed_after_the_battery(self, make):
+        f = make()
+        ref = weakref.ref(f)
+        full_battery(f, 24)
+        del f
+        assert ref() is None
+
+    def test_sequence_is_freed_after_a_zero_term(self):
+        f = Sequence("zero at 5", lambda n: 0 if n == 5 else n)
+        ref = weakref.ref(f)
+        for name in ("gcd_sequence", "dual_gcd", "divisible", "homomorphic"):
+            try:
+                getattr(binomid.classify, f"is_{name}")(f, 12)
+            except ZeroTermError as exc:
+                assert exc.index == 5
+            else:
+                pytest.fail(f"is_{name} passed over the zero term")
+        del f
+        assert ref() is None
+
+    def test_divisor_product_and_its_sieve_are_freed(self):
+        g = identity_seq()
+        f = divisor_product_of(g)
+        refs = [weakref.ref(g), weakref.ref(f), weakref.ref(f._rule)]
+        full_battery(f, 24)
+        f.term(300)  # past the rule's sieve: it is rebuilt larger
+        del f, g
+        assert [ref() for ref in refs] == [None, None, None]

@@ -1,13 +1,18 @@
 import random
+import sys
 import threading
+import time
+from collections import Counter
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import binomid.numtheory
+import binomid.sequences
 from binomid import (Sequence, UndefinedTermError, ZeroTermError,
                      compose_power, const_seq, cyclotomic_eval,
-                     divisor_product_of, double_terms, factorial_seq,
+                     divisor_product_of, divisors, double_terms, factorial_seq,
                      fibonacci, from_list, g_ab, h_m, identity_seq,
                      interleave_ones, lucas, pascal_column, pascal_row,
                      power_seq, prepend_one, product, scalar, triangular_seq)
@@ -246,3 +251,122 @@ class TestSequenceBehavior:
         assert not thread.is_alive(), "self-referential rule deadlocked"
         assert results == [16]
         assert x.prefix(5) == [1, 2, 4, 8, 16]
+
+
+class TestDivisorProductSieve:
+    """P(g) takes divisors from a sieve in its rule's closure; g is read in
+    the same ascending order as over trial-division divisors."""
+
+    @staticmethod
+    def trial_division_product(g):
+        def rule(n):
+            total = 1
+            for d in divisors(n):
+                total *= g.term(d)
+            return total
+        return Sequence("P", rule, length=g.length)
+
+    @staticmethod
+    def logged(values, calls):
+        def rule(n):
+            calls.append(n)
+            return values[n - 1]
+        return Sequence("g", rule, length=len(values))
+
+    @staticmethod
+    def read(f, n):
+        try:
+            return f.term(n)
+        except (ZeroTermError, UndefinedTermError) as exc:
+            return type(exc), exc.index
+
+    @settings(max_examples=150, deadline=None)
+    @given(st.lists(st.sampled_from([0, 1, -1, 2, 3, -5, 7]), min_size=1, max_size=80),
+           st.lists(st.integers(-2, 90), max_size=30))
+    def test_same_terms_errors_and_reads_of_g(self, values, order):
+        sieve_calls, trial_calls = [], []
+        sieved = divisor_product_of(self.logged(values, sieve_calls))
+        trial = self.trial_division_product(self.logged(values, trial_calls))
+        for n in order:
+            assert self.read(sieved, n) == self.read(trial, n)
+        assert sieve_calls == trial_calls
+
+    def test_late_index_first_then_past_the_sieve(self):
+        f = divisor_product_of(identity_seq())
+        ref = self.trial_division_product(identity_seq())
+        for n in (1000, 7, 1001, 2003, 5000, 1):
+            assert f.term(n) == ref.term(n)
+        assert f.prefix(300) == ref.prefix(300)
+
+    def test_divisors_never_come_from_trial_division(self, monkeypatch):
+        def refuse(n):
+            raise AssertionError("trial-division divisors called")
+        monkeypatch.setattr(binomid.numtheory, "divisors", refuse)
+        monkeypatch.setattr(binomid.sequences, "divisors", refuse, raising=False)
+        assert divisor_product_of(identity_seq()).prefix(12) == [
+            1, 2, 3, 8, 5, 36, 7, 64, 27, 100, 11, 1728]
+
+
+class TestTermFastPath:
+    """`term` answers from the cache before checking the index; the cache
+    holds only defined, nonzero terms."""
+
+    def test_undefined_indices_raise_after_every_term_is_cached(self):
+        seq = from_list([3, 1, 4, 1, 5])
+        assert seq.prefix(5) == [3, 1, 4, 1, 5]
+        for n in (0, -1, 6):
+            with pytest.raises(UndefinedTermError) as exc:
+                seq.term(n)
+            assert exc.value.index == n
+
+    def test_zero_term_is_never_cached(self):
+        calls = []
+
+        def rule(n):
+            calls.append(n)
+            return 0 if n == 3 else n
+
+        seq = Sequence("zero at 3", rule)
+        assert seq.prefix(2) == [1, 2]
+        for _ in range(3):
+            with pytest.raises(ZeroTermError) as exc:
+                seq.term(3)
+            assert exc.value.index == 3
+        assert seq.term(4) == 4
+        assert calls == [1, 2, 3, 3, 3, 4]
+
+    def test_each_rule_call_happens_once_under_concurrent_reads(self):
+        calls = Counter()
+        count_lock = threading.Lock()
+
+        def rule(n):
+            with count_lock:
+                calls[n] += 1
+            time.sleep(0.0002)  # widen the window between miss and store
+            return n * n + 1
+
+        seq = Sequence("slow squares", rule)
+        start = threading.Barrier(8)
+        results = []
+
+        def worker(seed):
+            order = list(range(1, 61))
+            random.Random(seed).shuffle(order)
+            start.wait()
+            results.append({n: seq.term(n) for n in order})
+
+        threads = [threading.Thread(target=worker, args=(i,), daemon=True)
+                   for i in range(8)]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=30)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(t.is_alive() for t in threads)
+        assert len(results) == 8
+        assert all(r == {n: n * n + 1 for n in range(1, 61)} for r in results)
+        assert calls == Counter(range(1, 61))
