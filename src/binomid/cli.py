@@ -16,11 +16,12 @@ import json
 import sys
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import zip_longest
 from pathlib import Path
 
 from . import classify as cls
 from . import verify as ver
-from .core import Pyramid, Triangle, col_seq, pyramid, row_seq, triangle
+from .core import _rows, _slice_bases, _triangle_terms, col_seq, row_seq
 from .errors import (InternalCheckError, NonIntegralEntryError,
                      UndefinedTermError, ZeroTermError)
 from .sequences import (Sequence, compose_power, const_seq, divisor_product_of,
@@ -278,62 +279,85 @@ def _ingest_plain_file(path: str) -> Sequence:
 
 # ---------------------------------------------------------------------------
 # formatting
+#
+# Triangles and pyramids print straight from the kernel's rows
+# (`core._rows`): an integral entry is a plain int and any other a
+# Fraction, and str() of either is the entry's exact text. CSV and JSON
+# print a row at a time; text reads a triangle twice, for column widths.
+# The JSON is written, not encoded: its bytes are those json.dumps(doc,
+# indent=2) gives for the document of {"num", "den"} entry pairs.
 
-def _fmt_exact(q) -> str:
-    if isinstance(q, Fraction):
-        if q.denominator != 1:
-            return f"{q.numerator}/{q.denominator}"
-        return str(q.numerator)
-    return str(q)
-
-
-def _frac_pair(q: Fraction) -> dict:
-    return {"num": str(q.numerator), "den": str(q.denominator)}
-
-
-def format_triangle_text(tri: Triangle) -> str:
-    table = [["n\\k"] + [str(k) for k in range(tri.depth + 1)]]
-    for n in range(tri.depth + 1):
-        table.append([str(n)] + [_fmt_exact(v) for v in tri.row(n)])
-    widths = [0] * (tri.depth + 2)
-    for row in table:
-        for i, cell in enumerate(row):
-            widths[i] = max(widths[i], len(cell))
-    lines = []
-    for row in table:
-        lines.append("  ".join(cell.ljust(widths[i])
-                               for i, cell in enumerate(row)).rstrip())
-    return "\n".join(lines)
+@functools.cache
+def _entry_templates(pad: str) -> tuple[str, str]:
+    """%-templates of one {"num", "den"} entry at indent `pad`, laid out as
+    json.dumps(indent=2) lays it out: (for an int, for a Fraction)."""
+    head = f'{pad}{{\n{pad}  "num": "%s",\n{pad}  "den": '
+    tail = f"\n{pad}}}"
+    return f'{head}"1"{tail}', f'{head}"%s"{tail}'
 
 
-def format_triangle_csv(tri: Triangle) -> str:
-    return "\n".join(",".join(_fmt_exact(v) for v in tri.row(n))
-                     for n in range(tri.depth + 1))
+def _json_entries(values, pad: str) -> str:
+    """The entries of `values` as the comma-separated items of a JSON list
+    at indent `pad`."""
+    whole, frac = _entry_templates(pad)
+    return ",\n".join(whole % v if type(v) is int else frac % (v.numerator, v.denominator)
+                       for v in values)
 
 
-def triangle_to_json(tri: Triangle, source: str) -> dict:
-    return {"source": source, "depth": tri.depth,
-            "rows": [[_frac_pair(v) for v in row] for row in tri.rows]}
+def _json_triangle(rows, depth: int, source: str, pad: str = "", comma: str = ""):
+    """Yield the {"source", "depth", "rows"} document at indent `pad` in
+    pieces, a row at a time; printing each piece gives the document and a
+    newline, with `comma` after its closing brace."""
+    yield (f'{pad}{{\n{pad}  "source": {json.dumps(source)},\n'
+           f'{pad}  "depth": {depth},\n{pad}  "rows": [')
+    close = ""
+    for row in rows:
+        yield f"{close}{pad}    [\n{_json_entries(row, pad + '      ')}"
+        close = f"{pad}    ],\n"
+    yield f"{pad}    ]\n{pad}  ]\n{pad}}}{comma}"
 
 
-def format_pyramid_text(pyr: Pyramid) -> str:
-    blocks = [f"slice {m}\n{format_triangle_text(sl)}"
-              for m, sl in enumerate(pyr.slices)]
-    return "\n\n".join(blocks)
+def _triangle_text(rows) -> str:
+    body = [[str(n), *map(str, row)] for n, row in enumerate(rows)]
+    table = [["n\\k", *map(str, range(len(body)))], *body]
+    widths = [max(map(len, column)) for column in zip_longest(*table, fillvalue="")]
+    return "\n".join("  ".join(map(str.ljust, row, widths)).rstrip() for row in table)
 
 
-def format_pyramid_csv(pyr: Pyramid) -> str:
-    lines = []
-    for m, sl in enumerate(pyr.slices):
-        for n in range(sl.depth + 1):
-            lines.append(f"{m},{n}," + ",".join(_fmt_exact(v) for v in sl.row(n)))
-    return "\n".join(lines)
+def format_triangle_text(rows) -> None:
+    print(_triangle_text(rows))
 
 
-def pyramid_to_json(pyr: Pyramid, source: str) -> dict:
-    return {"source": source, "depth": pyr.depth,
-            "slices": [triangle_to_json(sl, f"row({m},{source})")
-                       for m, sl in enumerate(pyr.slices)]}
+def format_triangle_csv(rows) -> None:
+    for row in rows:
+        print(",".join(map(str, row)))
+
+
+def triangle_to_json(rows, depth: int, source: str) -> None:
+    for piece in _json_triangle(rows, depth, source):
+        print(piece)
+
+
+def format_pyramid_text(slices) -> None:
+    for m, rows in enumerate(slices):
+        gap = "\n" if m else ""
+        print(f"{gap}slice {m}\n{_triangle_text(rows)}")
+
+
+def format_pyramid_csv(slices) -> None:
+    for m, rows in enumerate(slices):
+        for n, row in enumerate(rows):
+            print(f"{m},{n},{','.join(map(str, row))}")
+
+
+def pyramid_to_json(slices, source: str) -> None:
+    depth = len(slices) - 1
+    print(f'{{\n  "source": {json.dumps(source)},\n  "depth": {depth},\n  "slices": [')
+    for m, rows in enumerate(slices):
+        for piece in _json_triangle(rows, m, f"row({m},{source})", "    ",
+                                    "," if m < depth else ""):
+            print(piece)
+    print("  ]\n}")
 
 
 _INDEX_KEYS = {"m", "n", "k", "a", "b", "j", "level", "slice", "c", "r"}
@@ -347,8 +371,8 @@ def _witness_text(witness: dict) -> str:
     if "slice" in w:
         parts.append(f"slice {w.pop('slice')}")
     if "n" in w and "k" in w and "value" in w:
-        parts.append(f"[{w.pop('n')} {w.pop('k')}] = {_fmt_exact(w.pop('value'))}")
-    parts.extend(f"{key}={_fmt_exact(v)}" for key, v in w.items())
+        parts.append(f"[{w.pop('n')} {w.pop('k')}] = {w.pop('value')}")
+    parts.extend(f"{key}={v}" for key, v in w.items())
     return ", ".join(parts)
 
 
@@ -356,7 +380,7 @@ def _witness_json(witness: dict) -> dict:
     out = {}
     for key, v in witness.items():
         if isinstance(v, Fraction):
-            out[key] = _frac_pair(v)
+            out[key] = {"num": str(v.numerator), "den": str(v.denominator)}
         elif isinstance(v, int) and key in _INDEX_KEYS:
             out[key] = v
         elif isinstance(v, int):
@@ -425,19 +449,27 @@ def _build_sequence(args) -> tuple[SeqSpec, Sequence]:
 
 
 def _cmd_triangle_or_pyramid(args) -> int:
+    # every term is fetched, and every pyramid base row built, before the
+    # first line is printed, so an input error leaves stdout empty
     spec, seq = _build_sequence(args)
     if args.command == "triangle":
-        shape = triangle(seq, args.rows)
-        text, csv, to_json = format_triangle_text, format_triangle_csv, triangle_to_json
+        terms = _triangle_terms(seq, args.rows)
+        rows, depth = _rows(terms), len(terms)
+        if args.format == "text":
+            format_triangle_text(rows)
+        elif args.format == "csv":
+            format_triangle_csv(rows)
+        else:
+            triangle_to_json(rows, depth, spec.canonical())
     else:
-        shape = pyramid(seq, args.depth)
-        text, csv, to_json = format_pyramid_text, format_pyramid_csv, pyramid_to_json
-    if args.format == "text":
-        print(text(shape))
-    elif args.format == "csv":
-        print(csv(shape))
-    else:
-        print(json.dumps(to_json(shape, spec.canonical()), indent=2))
+        slices = [_rows(base.prefix(m))
+                  for m, base in enumerate(_slice_bases(seq, args.depth))]
+        if args.format == "text":
+            format_pyramid_text(slices)
+        elif args.format == "csv":
+            format_pyramid_csv(slices)
+        else:
+            pyramid_to_json(slices, spec.canonical())
     return 0
 
 
@@ -495,10 +527,10 @@ def _cmd_invert(args) -> int:
     spec, seq = _build_sequence(args)
     inverted = cls.mobius_invert(seq, args.terms)
     if args.format == "json":
-        print(json.dumps({"source": spec.canonical(),
-                          "terms": [_frac_pair(q) for q in inverted]}, indent=2))
+        print(f'{{\n  "source": {json.dumps(spec.canonical())},\n  "terms": [\n'
+              f'{_json_entries(inverted, "    ")}\n  ]\n}}')
     else:
-        print(" ".join(_fmt_exact(q) for q in inverted))
+        print(" ".join(map(str, inverted)))
     return 0
 
 
@@ -507,8 +539,7 @@ def _print_check(result: ver.CheckResult) -> int:
     if not result.ok:
         line += f" ({result.status})"
     if result.witness:
-        line += ": " + ", ".join(f"{k}={_fmt_exact(v)}"
-                                 for k, v in result.witness.items())
+        line += ": " + ", ".join(f"{k}={v}" for k, v in result.witness.items())
     print(line)
     return 0 if result.ok else 1
 
@@ -623,6 +654,10 @@ def main(argv=None) -> int:
         args = parser.parse_args(argv)
     except SystemExit as exc:
         return int(exc.code or 0)
+    # exact values have no digit limit: lift Python's cap on int-to-str
+    # conversion while the command runs, and give a caller its own back
+    limit = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(0)
     try:
         return args.handler(args)
     except SpecParseError as exc:
@@ -638,6 +673,8 @@ def main(argv=None) -> int:
     except InternalCheckError as exc:
         print(f"error: internal check failed: {exc}", file=sys.stderr)
         return 3
+    finally:
+        sys.set_int_max_str_digits(limit)
 
 
 def console_main() -> None:

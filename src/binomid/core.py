@@ -1,7 +1,11 @@
 """Generalized factorials, binomial coefficients, triangles, and pyramids.
 
-All entries are exact rationals; integrality is a property to query,
-never an assumption of storage. Nothing here uses floating point.
+All entries are exact: integrality is a property to query, never an
+assumption of storage. The row kernel (`_row`, `_rows`) is the one source
+of triangle entries; it yields a plain `int` for an integral entry and a
+`Fraction` only for a non-integral one, and the public `Triangle` and
+`Pyramid` hold every entry as a `Fraction`. Nothing here uses floating
+point.
 """
 
 from __future__ import annotations
@@ -95,18 +99,20 @@ class Triangle:
 
 
 def _row(term, n: int, last: int):
-    """Yield [n k] for k = 0..last as Fractions: the triangle kernel.
+    """Yield [n k] for k = 0..last: the triangle kernel.
 
     Walks the row by [n k] = [n k-1] * f(n-k+1) / f(k), with `term(i)` giving
     f(i). While the entries are integers the step is an exact divmod on
     plain integers the size of the entries; from a non-integral entry on it
     carries Fraction(num, den), which returns to divmod if a later entry
-    reduces to an integer. Terms are fetched in the order the walk needs
+    reduces to an integer. An integral entry is yielded as a plain int and
+    a non-integral one as a Fraction, so `type(v) is int` exactly when
+    [n k] is an integer. Terms are fetched in the order the walk needs
     them, f(n-k+1) then f(k), so a consumer that stops early has not
     touched the rest of the row's terms.
     """
     num, den = 1, 1
-    yield Fraction(1)
+    yield 1
     for k in range(1, last + 1):
         top = num * term(n - k + 1)
         bottom = den * term(k)
@@ -114,20 +120,20 @@ def _row(term, n: int, last: int):
             quotient, rem = divmod(top, bottom)
             if not rem:
                 num = quotient
-                yield Fraction(quotient)
+                yield quotient
                 continue
         value = Fraction(top, bottom)
         num, den = value.numerator, value.denominator
-        yield value
+        yield num if den == 1 else value
 
 
 def _rows(terms: list[int]):
     """Yield rows 0..len(terms) of the triangle over the 1-indexed terms.
 
-    Each row is a list of Fractions from the row kernel, so every step
-    multiplies and divides integers the size of the entries, never
-    factorials; the kernel walks half the row and the rest is its mirror
-    image, since [n k] = [n n-k].
+    Each row is a list of kernel entries (ints, and Fractions where an
+    entry is not an integer), so every step multiplies and divides
+    integers the size of the entries, never factorials; the kernel walks
+    half the row and the rest is its mirror image, since [n k] = [n n-k].
     """
     term = [0, *terms].__getitem__
     for n in range(len(terms) + 1):
@@ -135,19 +141,25 @@ def _rows(terms: list[int]):
         yield half + half[:(n + 1) // 2][::-1]
 
 
+def _triangle_terms(f: Sequence, depth: int) -> list[int]:
+    """The terms a triangle of the given depth is built over, fetched in
+    index order; the depth is capped at a finite sequence's length."""
+    if depth < 0:
+        raise ValueError("depth must be nonnegative")
+    return f.prefix(depth if f.length is None else min(depth, f.length))
+
+
 def triangle(f: Sequence, depth: int) -> Triangle:
     """Build the triangle to the given depth, capped at a finite length.
 
     The terms are materialized once, in index order, and the rows come
-    from the row kernel (`_rows`), the one source of triangle entries:
-    `is_binomid` reads the same rows, down to its witness row, and guards
-    each against the identity between adjacent rows.
+    from the row kernel (`_rows`), the one source of triangle entries,
+    with every entry held as a Fraction. `is_binomid`, the checkers and
+    the CLI read the kernel's rows directly.
     """
-    if depth < 0:
-        raise ValueError("depth must be nonnegative")
-    if f.length is not None:
-        depth = min(depth, f.length)
-    return Triangle(f, depth, tuple(map(tuple, _rows(f.prefix(depth)))))
+    terms = _triangle_terms(f, depth)
+    return Triangle(f, len(terms), tuple(tuple(map(Fraction, row))
+                                         for row in _rows(terms)))
 
 
 def _require_unit_first(f: Sequence) -> None:
@@ -166,9 +178,9 @@ def row_seq(f: Sequence, m: int) -> Sequence:
     _require_unit_first(f)
     terms = []
     for j, value in enumerate(_row(f.term, m, m)):
-        if value.denominator != 1:
+        if type(value) is not int:
             raise NonIntegralEntryError(m, j, value)
-        terms.append(value.numerator)
+        terms.append(value)
     return from_list(terms, name=f"row({m},{f.name})")
 
 
@@ -225,8 +237,17 @@ def pyramid(f: Sequence, depth: int) -> Pyramid:
     Entries stay exact rationals: integrality is a result to classify, not
     a precondition of storage.
     """
+    slices = tuple(triangle(base, m) for m, base in enumerate(_slice_bases(f, depth)))
+    return Pyramid(f, depth, slices)
+
+
+def _slice_bases(f: Sequence, depth: int) -> list[Sequence]:
+    """Rows 0..depth of the triangle of f: slice m is the triangle over row m.
+
+    Every row is built before any slice, so a non-integral row raises
+    before a slice is read.
+    """
     if depth < 0:
         raise ValueError("depth must be nonnegative")
     _require_unit_first(f)
-    slices = tuple(triangle(row_seq(f, m), m) for m in range(depth + 1))
-    return Pyramid(f, depth, slices)
+    return [row_seq(f, m) for m in range(depth + 1)]

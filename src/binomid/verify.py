@@ -14,7 +14,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from math import comb, factorial
 
-from .core import fbinom, fbinom_values, ffactorial, triangle
+from .core import _rows, fbinom, fbinom_values, ffactorial
 from .errors import InternalCheckError
 from .sequences import Sequence, h_m, pascal_column
 
@@ -191,36 +191,38 @@ def generic_pyramid_entry(m: int, n: int, k: int) -> ExponentVector:
 
 def check_symmetry(f: Sequence) -> CheckResult:
     """For a palindromic finite sequence, column c of its triangle equals
-    row n-c, as exact rationals. Asymmetric input is rejected."""
+    row n-c, as exact rationals. Asymmetric input is rejected. The entries
+    are the row kernel's: integers compare as plain ints."""
     if f.length is None:
         raise ValueError("symmetry check needs a finite sequence")
     n = f.length
     for k in range(1, n + 1):
         if f.term(k) != f.term(n + 1 - k):
             raise ValueError(f"sequence is not symmetric at k={k}")
-    rows = triangle(f, n).rows
+    rows = list(_rows(f.prefix(n)))
     for c in range(n + 1):
         for k in range(n - c + 1):
             col_entry = rows[c + k][c]
             row_entry = rows[n - c][k]
             if col_entry != row_entry:
                 return CheckResult("symmetry", False, "rotation_violated",
-                                   {"c": c, "k": k, "column_value": col_entry,
-                                    "row_value": row_entry})
+                                   {"c": c, "k": k, "column_value": Fraction(col_entry),
+                                    "row_value": Fraction(row_entry)})
     return CheckResult("symmetry", True, "holds")
 
 
 def check_slice_identity(f: Sequence, n_max: int, m_max: int, k_max: int) -> CheckResult:
     """[n k] over column m equals [n k] over row n+m-1, and also equals the
     [k+m m] entry of the same row triangle, exactly, over the whole range.
-    The values come from one triangle of f, after fetching its terms, so a
-    short finite input raises rather than capping the triangle."""
+    The values come from the kernel rows of one triangle of f, after
+    fetching its terms, so a short finite input raises rather than capping
+    the triangle, and the products over integral entries are plain-int
+    products."""
     if n_max < 1 or m_max < 0 or k_max < 0:
         raise ValueError("need n_max >= 1, m_max >= 0 and k_max >= 0")
     if f.term(1) != 1:
         raise ValueError(f"{f.name}: first term must be 1")
-    f.prefix(n_max + m_max - 1)
-    rows = triangle(f, n_max + m_max - 1).rows
+    rows = list(_rows(f.prefix(n_max + m_max - 1)))
     for m in range(m_max + 1):
         colvals = [rows[N + m - 1][m] for N in range(1, n_max + 1)]
         for n in range(1, n_max + 1):

@@ -1,11 +1,21 @@
+import contextlib
+import io
 import json
+import sys
+from fractions import Fraction
+from math import comb
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from binomid import InternalCheckError, ZeroTermError
+from binomid import (InternalCheckError, ZeroTermError, fibonacci, from_list,
+                     mobius_invert, pyramid, triangle)
 from binomid import classify as cls
+from binomid import cli
 from binomid.cli import (SeqSpec, SpecParseError, _build_arg_parser,
                          ingest_bfile, main, parse_seqspec)
+from binomid.core import _rows
 
 
 def run(capsys, *argv):
@@ -208,6 +218,28 @@ class TestPyramidCommand:
         code, _, err = run(capsys, "pyramid", "col(2,T)", "--depth", "4")
         assert code == 1
         assert "500/3" in err
+
+
+class TestStreamedOutput:
+    """Rows print one at a time, but only after every term (and every
+    pyramid base row) is built, so an input error leaves stdout empty."""
+
+    @pytest.mark.parametrize("fmt", ["text", "csv", "json"])
+    def test_zero_term_prints_nothing(self, capsys, fmt):
+        # lucas:2,2 runs 1, 2, 2, 0
+        assert run(capsys, "triangle", "lucas:2,2", "--rows", "6", "--format", fmt) == (
+            2, "", "error: term at index 4 is zero\n")
+
+    @pytest.mark.parametrize("fmt", ["text", "csv", "json"])
+    def test_non_integral_base_row_prints_nothing(self, capsys, fmt):
+        assert run(capsys, "pyramid", "col(2,T)", "--depth", "4", "--format", fmt) == (
+            1, "", "error: non-integral entry [4 2] = 500/3\n")
+
+    def test_csv_prints_a_line_per_row(self, monkeypatch):
+        lines = []
+        monkeypatch.setattr(cli, "print", lines.append, raising=False)
+        assert main(["triangle", "I", "--rows", "30", "--format", "csv"]) == 0
+        assert len(lines) == 31 and lines[30] == ",".join(str(comb(30, k)) for k in range(31))
 
 
 class TestClassifyCommand:
@@ -523,3 +555,174 @@ class TestClassifyJsonExtras:
     def test_extras_are_deterministic(self, capsys):
         argv = (*self.BASE, "--per-prime", "7", "--profile", "--format", "json")
         assert run(capsys, *argv) == run(capsys, *argv)
+
+
+# ---------------------------------------------------------------------------
+# The JSON documents as they were built before the direct emitter: a dict of
+# {"num", "den"} pairs per entry, encoded by json.dumps(indent=2). They are
+# the oracle for the emitter's bytes.
+
+def frac_pair(q):
+    return {"num": str(q.numerator), "den": str(q.denominator)}
+
+
+def triangle_doc(tri, source):
+    return {"source": source, "depth": tri.depth,
+            "rows": [[frac_pair(v) for v in row] for row in tri.rows]}
+
+
+def pyramid_doc(slices, source):
+    return {"source": source, "depth": len(slices) - 1,
+            "slices": [triangle_doc(sl, f"row({m},{source})")
+                       for m, sl in enumerate(slices)]}
+
+
+def invert_doc(inverted, source):
+    return {"source": source, "terms": [frac_pair(q) for q in inverted]}
+
+
+def dumped(doc):
+    return json.dumps(doc, indent=2) + "\n"
+
+
+def printed(fn, *args):
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        fn(*args)
+    return out.getvalue()
+
+
+def main_output(*argv):
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(list(argv))
+    return code, out.getvalue(), err.getvalue()
+
+
+nonzero = st.integers(-30, 30).filter(bool)
+signed_terms = st.one_of(st.lists(nonzero, min_size=1, max_size=9),
+                         st.lists(st.sampled_from([1, -1, 2, -2, 3]), min_size=1, max_size=9))
+sources = st.one_of(
+    st.text(max_size=12),
+    st.sampled_from(['file:/tmp/q"uote.txt', "file:C:\\data\\terms.txt",
+                     "bfile:/données/π_ü.b", "list:1,-2,3", "tab\there", "\u2028"]))
+
+
+class TestJsonEmitter:
+    """The emitter's bytes equal json.dumps(oracle, indent=2) and a newline."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(signed_terms, st.integers(0, 9), sources)
+    def test_triangle(self, values, depth, source):
+        depth = min(depth, len(values))
+        tri = triangle(from_list(values), depth)
+        got = printed(cli.triangle_to_json, _rows(values[:depth]), depth, source)
+        assert got == dumped(triangle_doc(tri, source))
+
+    @settings(max_examples=100, deadline=None)
+    @given(st.lists(st.lists(nonzero, min_size=1, max_size=7), min_size=1, max_size=6)
+           .map(lambda bases: [[1]] + bases), sources)
+    def test_pyramid(self, bases, source):
+        # slice m is the triangle of depth m over a base row of m+1 terms,
+        # as core.pyramid builds it from row m
+        bases = [(base * (m + 1))[:m + 1] for m, base in enumerate(bases)]
+        slices = [triangle(from_list(base), m) for m, base in enumerate(bases)]
+        got = printed(cli.pyramid_to_json,
+                      [_rows(base[:m]) for m, base in enumerate(bases)], source)
+        assert got == dumped(pyramid_doc(slices, source))
+
+    @settings(max_examples=100, deadline=None)
+    @given(st.lists(st.lists(st.one_of(
+        st.integers(-10 ** 30, 10 ** 30),
+        st.fractions(max_denominator=10 ** 6).filter(lambda q: q.denominator != 1)),
+        min_size=1, max_size=5), min_size=1, max_size=5), st.integers(0, 10 ** 6), sources)
+    def test_any_rows(self, rows, depth, source):
+        # an int prints over den 1 and a Fraction as its own pair
+        doc = {"source": source, "depth": depth,
+               "rows": [[frac_pair(Fraction(v)) for v in row] for row in rows]}
+        assert printed(cli.triangle_to_json, rows, depth, source) == dumped(doc)
+
+    @settings(max_examples=60, deadline=None)
+    @given(signed_terms, st.integers(1, 9))
+    def test_invert(self, values, count):
+        count = min(count, len(values))
+        spec = "list:" + ",".join(map(str, values))
+        inverted = mobius_invert(from_list(values), count)
+        assert main_output("invert", spec, "--terms", str(count), "--format", "json") == (
+            0, dumped(invert_doc(inverted, parse_seqspec(spec).canonical())), "")
+
+    @pytest.mark.parametrize("name", ['q"uote', "back\\slash", "données_π"])
+    def test_sources_with_escapes_end_to_end(self, tmp_path, name):
+        path = tmp_path / name
+        path.write_text("1 2 -3 4 5\n")
+        f = from_list([1, 2, -3, 4, 5])
+        spec = f"file:{path}"
+        code, out, _ = main_output("triangle", spec, "--rows", "4", "--format", "json")
+        assert (code, out) == (0, dumped(triangle_doc(triangle(f, 4), spec)))
+        code, out, _ = main_output("invert", spec, "--terms", "5", "--format", "json")
+        assert (code, out) == (0, dumped(invert_doc(mobius_invert(f, 5), spec)))
+        path.write_text("1 3 3 1\n")
+        pyr = pyramid(from_list([1, 3, 3, 1]), 3)
+        code, out, _ = main_output("pyramid", spec, "--depth", "3", "--format", "json")
+        assert (code, out) == (0, dumped(pyramid_doc(pyr.slices, spec)))
+
+    def test_depth_zero(self):
+        assert main_output("triangle", "I", "--rows", "0", "--format", "json") == (
+            0, dumped({"source": "I", "depth": 0, "rows": [[{"num": "1", "den": "1"}]]}), "")
+
+
+@contextlib.contextmanager
+def int_max_str_digits(limit):
+    saved = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(limit)
+    try:
+        yield
+    finally:
+        sys.set_int_max_str_digits(saved)
+
+
+class TestNoDigitLimit:
+    """Exact output has no digit limit, whatever the interpreter's int-to-str
+    cap (4300 digits by default); main gives the caller's cap back."""
+
+    def test_fibonacci_300_json_is_exact(self, tmp_path):
+        path = tmp_path / "fib300.json"
+        with int_max_str_digits(4300), open(path, "w") as out:
+            with contextlib.redirect_stdout(out):
+                code = main(["triangle", "fib", "--rows", "300", "--format", "json"])
+            assert sys.get_int_max_str_digits() == 4300
+        assert code == 0
+        with int_max_str_digits(0):
+            with open(path) as fh:
+                last = json.load(fh)["rows"][300]
+            fact = [1]
+            for v in fibonacci().prefix(300):
+                fact.append(fact[-1] * v)
+            assert last == [frac_pair(Fraction(fact[300], fact[k] * fact[300 - k]))
+                            for k in range(301)]
+            assert max(len(pair["num"]) for pair in last) > 4300
+
+    def test_long_inversion_exits_0(self):
+        with int_max_str_digits(4300):
+            code, out, err = main_output("invert", "gq:2", "--terms", "15000")
+        assert (code, err) == (0, "")
+        # g(14983) = 2**14983 - 1 has 4511 digits
+        assert max(map(len, out.split())) > 4300
+
+    @pytest.mark.parametrize("kind", ["file", "bfile"])
+    def test_big_file_value_round_trips(self, tmp_path, kind):
+        big = "9" * 5000
+        path = tmp_path / "big.txt"
+        path.write_text(f"1 {big}\n" if kind == "file" else f"1 1\n2 {big}\n")
+        with int_max_str_digits(4300):
+            code, out, err = main_output("invert", f"{kind}:{path}", "--terms", "2")
+        assert (code, out, err) == (0, f"1 {big}\n", "")
+
+    def test_caller_limit_is_restored(self):
+        with int_max_str_digits(5000):
+            assert main_output("triangle", "I", "--rows", "2")[0] == 0
+            assert sys.get_int_max_str_digits() == 5000
+            assert main_output("triangle", "bogus", "--rows", "2")[0] == 2
+            assert sys.get_int_max_str_digits() == 5000
+            assert main_output("triangle")[0] == 2
+            assert sys.get_int_max_str_digits() == 5000

@@ -101,6 +101,23 @@ class TestKernelAgainstFactorialQuotients:
 
     @settings(max_examples=150, deadline=None)
     @given(term_lists)
+    def test_kernel_yields_ints_exactly_where_integral(self, values):
+        rows = list(binomid.core._rows(values))
+        expected = factorial_quotient_rows(values, len(values))
+        assert rows == expected
+        assert ([[type(v) for v in row] for row in rows]
+                == [[int if q.denominator == 1 else Fraction for q in row]
+                    for row in expected])
+
+    def test_fraction_reducing_to_an_integer_is_an_int(self):
+        # over (2, 1, 2, 3) the walk carries [4 1] = 3/2, and [4 2] = 3
+        # comes back from that fraction
+        row = list(binomid.core._rows([2, 1, 2, 3]))[4]
+        assert row == [1, Fraction(3, 2), 3, Fraction(3, 2), 1]
+        assert [type(v) for v in row] == [int, Fraction, int, Fraction, int]
+
+    @settings(max_examples=150, deadline=None)
+    @given(term_lists)
     def test_binomid_witness_is_first_non_integral_entry(self, values):
         rep = is_binomid(from_list(values), len(values))
         bad = first_non_integral(factorial_quotient_rows(values, len(values)))
