@@ -287,19 +287,12 @@ def _ingest_plain_file(path: str) -> Sequence:
 # The JSON is written, not encoded: its bytes are those json.dumps(doc,
 # indent=2) gives for the document of {"num", "den"} entry pairs.
 
-@functools.cache
-def _entry_templates(pad: str) -> tuple[str, str]:
-    """%-templates of one {"num", "den"} entry at indent `pad`, laid out as
-    json.dumps(indent=2) lays it out: (for an int, for a Fraction)."""
-    head = f'{pad}{{\n{pad}  "num": "%s",\n{pad}  "den": '
-    tail = f"\n{pad}}}"
-    return f'{head}"1"{tail}', f'{head}"%s"{tail}'
-
-
 def _json_entries(values, pad: str) -> str:
     """The entries of `values` as the comma-separated items of a JSON list
-    at indent `pad`."""
-    whole, frac = _entry_templates(pad)
+    at indent `pad`: one %-template of a {"num", "den"} pair for an int and
+    one for a Fraction."""
+    head = f'{pad}{{\n{pad}  "num": "%s",\n{pad}  "den": '
+    whole, frac = f'{head}"1"\n{pad}}}', f'{head}"%s"\n{pad}}}'
     return ",\n".join(whole % v if type(v) is int else frac % (v.numerator, v.denominator)
                        for v in values)
 
@@ -317,15 +310,11 @@ def _json_triangle(rows, depth: int, source: str, pad: str = "", comma: str = ""
     yield f"{pad}    ]\n{pad}  ]\n{pad}}}{comma}"
 
 
-def _triangle_text(rows) -> str:
+def format_triangle_text(rows) -> None:
     body = [[str(n), *map(str, row)] for n, row in enumerate(rows)]
     table = [["n\\k", *map(str, range(len(body)))], *body]
     widths = [max(map(len, column)) for column in zip_longest(*table, fillvalue="")]
-    return "\n".join("  ".join(map(str.ljust, row, widths)).rstrip() for row in table)
-
-
-def format_triangle_text(rows) -> None:
-    print(_triangle_text(rows))
+    print("\n".join("  ".join(map(str.ljust, row, widths)).rstrip() for row in table))
 
 
 def format_triangle_csv(rows) -> None:
@@ -340,8 +329,8 @@ def triangle_to_json(rows, depth: int, source: str) -> None:
 
 def format_pyramid_text(slices) -> None:
     for m, rows in enumerate(slices):
-        gap = "\n" if m else ""
-        print(f"{gap}slice {m}\n{_triangle_text(rows)}")
+        print(f"\nslice {m}" if m else "slice 0")
+        format_triangle_text(rows)
 
 
 def format_pyramid_csv(slices) -> None:
