@@ -90,33 +90,28 @@ def is_binomid(f: Sequence, bound: int) -> ClassificationReport:
     rows, [n k] f(n-k) = [n-1 k] f(n) for 1 <= k <= n/2, with [n 0] = 1
     and the row equal to its own reverse; by induction on n these fix
     every entry, with no division and nothing larger than an entry times
-    a term. Rows above the witness are integral: the kernel yields them
-    as plain ints, which compare directly; a row holding a Fraction
-    compares its numerators with its denominators cross-multiplied. A
-    mismatch is an arithmetic bug.
+    a term. The kernel yields an integral entry as a plain int, so every
+    row above the witness compares as plain integers; on the witness row
+    a Fraction entry's product is an exact Fraction, equal to the int on
+    the other side only when the identity holds. The witness is the first
+    entry of the row's half that is not an int. A mismatch is an
+    arithmetic bug.
     """
     eff, reduced, note = _capped(f, bound)
     terms = f.prefix(eff)
     witness = None
     above = []
     for n, row in enumerate(_rows(terms)):
-        h = n // 2  # the next row's identity reads nums[h + 1]
-        nums = row[:h + 2]
-        dens = None
-        if all(type(q) is int for q in nums):
-            rhs = [c * terms[n - 1] for c in above[1:h + 1]]
-        else:
-            dens = [q.denominator for q in nums[:h + 1]]
-            nums = [q.numerator for q in nums]
-            rhs = [c * terms[n - 1] * b for c, b in zip(above[1:h + 1], dens[1:])]
-        lhs = [a * t for a, t in zip(nums[1:h + 1], reversed(terms[n - h - 1:n - 1]))]
+        h = n // 2
+        lhs = [a * t for a, t in zip(row[1:h + 1], reversed(terms[n - h - 1:n - 1]))]
+        rhs = [c * terms[n - 1] for c in above[1:h + 1]]
         if row != row[::-1] or row[0] != 1 or lhs != rhs:
             raise InternalCheckError(f"triangle row {n} fails the column identity")
-        if dens is not None and dens.count(1) <= h:
-            k = next(k for k, d in enumerate(dens) if d != 1)
+        k = next((k for k, q in enumerate(row[:h + 1]) if type(q) is not int), None)
+        if k is not None:
             witness = {"m": n - k, "k": k, "n": n, "value": row[k]}
             break
-        above = nums
+        above = row
     return _report("binomid", bound, witness, reduced, note)
 
 

@@ -443,22 +443,19 @@ def _cmd_triangle_or_pyramid(args) -> int:
     spec, seq = _build_sequence(args)
     if args.command == "triangle":
         terms = _triangle_terms(seq, args.rows)
-        rows, depth = _rows(terms), len(terms)
-        if args.format == "text":
-            format_triangle_text(rows)
-        elif args.format == "csv":
-            format_triangle_csv(rows)
-        else:
-            triangle_to_json(rows, depth, spec.canonical())
+        shape = _rows(terms)
+        text, csv = format_triangle_text, format_triangle_csv
+        to_json = functools.partial(triangle_to_json, depth=len(terms))
     else:
-        slices = [_rows(base.prefix(m))
-                  for m, base in enumerate(_slice_bases(seq, args.depth))]
-        if args.format == "text":
-            format_pyramid_text(slices)
-        elif args.format == "csv":
-            format_pyramid_csv(slices)
-        else:
-            pyramid_to_json(slices, spec.canonical())
+        shape = [_rows(base.prefix(m))
+                 for m, base in enumerate(_slice_bases(seq, args.depth))]
+        text, csv, to_json = format_pyramid_text, format_pyramid_csv, pyramid_to_json
+    if args.format == "text":
+        text(shape)
+    elif args.format == "csv":
+        csv(shape)
+    else:
+        to_json(shape, source=spec.canonical())
     return 0
 
 
