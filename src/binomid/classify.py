@@ -222,7 +222,13 @@ def _mobius_quotients(values: list[int]) -> list[Fraction]:
                 if d * j > count:
                     break
                 acc[d * j] *= value
-    return [Fraction(num[n], den[n]) for n in range(1, count + 1)]
+    return [_quotient(num[n], den[n]) for n in range(1, count + 1)]
+
+
+def _quotient(num: int, den: int) -> Fraction:
+    # an exact quotient needs no gcd to be in lowest terms
+    q, r = divmod(num, den)
+    return Fraction(num, den) if r else Fraction(q)
 
 
 def _divisor_product(f: Sequence, bound: int) -> tuple[ClassificationReport, list[Fraction]]:

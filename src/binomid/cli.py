@@ -18,9 +18,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 from itertools import zip_longest
 from pathlib import Path
+from typing import TYPE_CHECKING
 
-from . import classify as cls
-from . import verify as ver
 from .core import _rows, _slice_bases, _triangle_terms, col_seq, row_seq
 from .errors import (InternalCheckError, NonIntegralEntryError,
                      UndefinedTermError, ZeroTermError)
@@ -29,6 +28,10 @@ from .sequences import (Sequence, compose_power, const_seq, divisor_product_of,
                         g_ab, h_m, identity_seq, interleave_ones, lucas,
                         pascal_column, pascal_row, power_seq, prepend_one,
                         product, scalar, triangular_seq)
+
+if TYPE_CHECKING:  # the subcommands that use these import them when they run
+    from . import classify as cls
+    from . import verify as ver
 
 __all__ = ["SeqSpec", "SpecParseError", "ingest_bfile", "main", "parse_seqspec"]
 
@@ -460,6 +463,7 @@ def _cmd_triangle_or_pyramid(args) -> int:
 
 
 def _cmd_classify(args) -> int:
+    from . import classify as cls
     spec, seq = _build_sequence(args)
     selected = None
     if args.only is not None:
@@ -510,6 +514,7 @@ def _cmd_classify(args) -> int:
 
 
 def _cmd_invert(args) -> int:
+    from . import classify as cls
     spec, seq = _build_sequence(args)
     inverted = cls.mobius_invert(seq, args.terms)
     if args.format == "json":
@@ -531,42 +536,44 @@ def _print_check(result: ver.CheckResult) -> int:
 
 
 # (check, help, takes a spec, integer options with their defaults, runner);
-# a default of ... marks a required option. A runner gets the parsed
-# arguments and the built sequence (None without a spec) and returns a
-# CheckResult, or an ExponentVector to print as a monomial.
+# a default of ... marks a required option. A runner gets the verify
+# module, the parsed arguments and the built sequence (None without a
+# spec) and returns a CheckResult, or an ExponentVector to print as a
+# monomial.
 _VERIFY = (
     ("symmetry", "3-fold rotation of a palindromic triangle", True, {},
-     lambda a, f: ver.check_symmetry(f)),
+     lambda v, a, f: v.check_symmetry(f)),
     ("slice-identity", "columns appear as pyramid slices", True,
      {"n_max": 6, "m_max": 4, "k_max": 6},
-     lambda a, f: ver.check_slice_identity(f, a.n_max, a.m_max, a.k_max)),
+     lambda v, a, f: v.check_slice_identity(f, a.n_max, a.m_max, a.k_max)),
     ("determinant", "binomial determinant identity", False,
      {"n": ..., "m": ..., "k": ...},
-     lambda a, f: ver.check_determinant_identity(a.n, a.m, a.k)),
+     lambda v, a, f: v.check_determinant_identity(a.n, a.m, a.k)),
     ("recurrence", "two-term recurrence step identity", True,
      {"n": ..., "k": ..., "u": None, "v": None},
-     lambda a, f: ver.check_recurrence_step(f, a.n, a.k, a.u, a.v)),
+     lambda v, a, f: v.check_recurrence_step(f, a.n, a.k, a.u, a.v)),
     ("hm", "factorial and binomial identity for comb(mx, m)", False,
      {"m": ..., "n": ..., "k": ...},
-     lambda a, f: ver.check_hm_identity(a.m, a.n, a.k)),
+     lambda v, a, f: v.check_hm_identity(a.m, a.n, a.k)),
     ("delta-pattern", "zeros-then-ones pattern of delta", False,
      {"m": ..., "r": ..., "length": ...},
-     lambda a, f: ver.check_delta_pattern(a.m, a.r, a.length)),
+     lambda v, a, f: v.check_delta_pattern(a.m, a.r, a.length)),
     ("window-minimality", "initial window is minimal", False,
      {"m": ..., "r": ..., "n_max": 18, "a_max": 18},
-     lambda a, f: ver.check_window_minimality(a.m, a.r, a.n_max, a.a_max)),
+     lambda v, a, f: v.check_window_minimality(a.m, a.r, a.n_max, a.a_max)),
     ("pyramid-entry", "generic column-entry exponents", False,
      {"m": ..., "n": ..., "k": ...},
-     lambda a, f: ver.generic_pyramid_entry(a.m, a.n, a.k)),
+     lambda v, a, f: v.generic_pyramid_entry(a.m, a.n, a.k)),
     ("factorial-exponents", "generic factorial exponents", False,
      {"n": ...},
-     lambda a, f: ver.generic_factorial_exponents(a.n)),
+     lambda v, a, f: v.generic_factorial_exponents(a.n)),
 )
 
 
 def _cmd_verify(args) -> int:
+    from . import verify as ver
     seq = _build_sequence(args)[1] if "spec" in vars(args) else None
-    result = args.run(args, seq)
+    result = args.run(ver, args, seq)
     if isinstance(result, ver.CheckResult):
         return _print_check(result)
     print(_monomial_text(result))

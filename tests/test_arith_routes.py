@@ -15,7 +15,7 @@ from hypothesis import strategies as st
 from binomid import (InternalCheckError, Sequence, ZeroTermError, classify,
                      divisor_product_of, divisors, euler_phi, fibonacci,
                      from_list, g_ab, identity_seq, lucas, mobius,
-                     mobius_invert, prime_power_base)
+                     mobius_invert, prime_power_base, triangular_seq)
 from binomid.cli import main
 from binomid.numtheory import Sieve
 
@@ -215,6 +215,20 @@ class TestScansAgainstOldRoutes:
     def test_mobius_invert_of_families(self, seq):
         values = seq.prefix(300)
         assert mobius_invert(seq, 300) == old_mobius_invert(values)
+
+    # every g(n) of gq:2 is the integer Phi_n(2); T's g(4) is 10/3
+    @pytest.mark.parametrize("seq, integral", [(g_ab(2, 1), True),
+                                               (triangular_seq(), False)],
+                             ids=["gq:2", "T"])
+    def test_quotients_match_reduced_fractions(self, seq, integral):
+        values = seq.prefix(300)
+        quotients = classify._mobius_quotients(values)
+        expected = old_mobius_invert(values)
+        assert quotients == expected
+        assert all(type(q) is Fraction for q in quotients)
+        assert [(q.numerator, q.denominator) for q in quotients] == [
+            (q.numerator, q.denominator) for q in expected]
+        assert all(q.denominator == 1 for q in quotients) == integral
 
     @given(st.lists(st.integers(-12, 12).filter(bool), min_size=1, max_size=60))
     @settings(max_examples=200, deadline=None)
