@@ -12,6 +12,9 @@ loads no submodule.
 
 import importlib
 
+# submodule -> the public names the package takes from it; this is also each
+# submodule's `__all__`, so the table must exist before any submodule runs,
+# and this module imports none of them
 _EXPORTS = {
     "classify": (
         "FAILS", "HOLDS", "ClassificationReport", "DivisorProductProfile",

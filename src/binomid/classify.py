@@ -14,10 +14,11 @@ from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd
 
+from . import _EXPORTS
 from .core import _rows, col_seq, pyramid, triangle
 from .errors import InternalCheckError, NonIntegralEntryError
 from .numtheory import Sieve, primes_up_to
-from .sequences import Sequence, _Terms
+from .sequences import Sequence
 
 HOLDS = "holds_to_bound"
 FAILS = "fails"
@@ -26,29 +27,7 @@ FAILS = "fails"
 PROPERTIES = ("binomid", "divisor_chain", "divisible", "dual_gcd",
               "gcd_sequence", "divisor_product", "multiplicative", "homomorphic")
 
-__all__ = [
-    "FAILS",
-    "HOLDS",
-    "PROPERTIES",
-    "ClassificationReport",
-    "DivisorProductProfile",
-    "PerPrimeDecomposition",
-    "ProfileCriterion",
-    "additive_binomid_check",
-    "divisor_product_profile",
-    "is_binomid",
-    "is_binomid_at_level",
-    "is_binomid_every_level",
-    "is_divisible",
-    "is_divisor_chain",
-    "is_divisor_product",
-    "is_dual_gcd",
-    "is_gcd_sequence",
-    "is_homomorphic",
-    "is_multiplicative",
-    "mobius_invert",
-    "per_prime_decomposition",
-]
+__all__ = [*_EXPORTS["classify"], "PROPERTIES"]
 
 
 @dataclass(frozen=True)
@@ -192,7 +171,7 @@ def mobius_invert(f: Sequence, count: int) -> list[Fraction]:
     """
     if count < 1:
         raise ValueError("count must be positive")
-    values = [f.term(n) for n in range(1, count + 1)]
+    values = f.prefix(count)
     inverted = _mobius_quotients(values)
     nums = [1] * (count + 1)
     dens = [1] * (count + 1)
@@ -250,7 +229,7 @@ def is_divisor_product(f: Sequence, bound: int) -> ClassificationReport:
 def is_divisor_chain(f: Sequence, bound: int) -> ClassificationReport:
     """Does every term divide its successor?"""
     eff, reduced, note = _capped(f, bound)
-    t = _Terms(f)
+    t = f._terms
     witness = None
     for n in range(1, eff):
         if t[n + 1] % t[n]:
@@ -263,7 +242,7 @@ def is_divisible(f: Sequence, bound: int) -> ClassificationReport:
     """k | n implies f(k) | f(n), over all pairs within the bound."""
     eff, reduced, note = _capped(f, bound)
     sieve = Sieve(eff)
-    t = _Terms(f)
+    t = f._terms
     witness = None
     for n in range(2, eff + 1):
         f_n = t[n]
@@ -282,7 +261,7 @@ def is_gcd_sequence(f: Sequence, bound: int) -> ClassificationReport:
     Terms may be negative; `gcd` of signed terms is already nonnegative.
     """
     eff, reduced, note = _capped(f, bound)
-    t = _Terms(f)
+    t = f._terms
     witness = None
     for m in range(1, eff):  # m = eff has no partner: at eff = 1 nothing is read
         f_m = t[m]
@@ -300,7 +279,7 @@ def is_gcd_sequence(f: Sequence, bound: int) -> ClassificationReport:
 def is_dual_gcd(f: Sequence, bound: int) -> ClassificationReport:
     """gcd(f(m), f(n)) divides f(m+n), for all pairs with m+n within bound."""
     eff, reduced, note = _capped(f, bound)
-    t = _Terms(f)
+    t = f._terms
     witness = None
     for m in range(1, eff // 2 + 1):
         f_m = t[m]
@@ -329,7 +308,7 @@ def is_homomorphic(f: Sequence, bound: int) -> ClassificationReport:
 
 
 def _product_rule_witness(f: Sequence, eff: int, coprime_only: bool) -> dict | None:
-    t = _Terms(f)
+    t = f._terms
     for a in range(1, eff + 1):
         b = a
         while a * b <= eff:

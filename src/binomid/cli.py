@@ -5,7 +5,8 @@ Exit codes: 0 when the command succeeds (and every requested check holds),
 1 when a classification or verification fails (the witness is printed),
 2 on usage, parse, or input errors (a spec nested deeper than 100
 combinator levels is a parse error), 3 when an internal cross-check fails,
-which only an arithmetic bug can cause.
+which only an arithmetic bug can cause, and 141 when the reader closes
+stdout before the output ends (nothing goes to stderr).
 """
 
 from __future__ import annotations
@@ -13,6 +14,7 @@ from __future__ import annotations
 import argparse
 import functools
 import json
+import os
 import sys
 from dataclasses import dataclass
 from fractions import Fraction
@@ -671,7 +673,15 @@ def main(argv=None) -> int:
 
 
 def console_main() -> None:
-    sys.exit(main())
+    try:
+        code = main()
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # the reader closed stdout: point fd 1 at /dev/null so the exit flush
+        # cannot fail again, and exit as a writer that SIGPIPE stopped
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        sys.exit(141)
+    sys.exit(code)
 
 
 if __name__ == "__main__":

@@ -14,23 +14,13 @@ from dataclasses import dataclass
 from fractions import Fraction
 from math import prod
 
+from . import _EXPORTS
 from .errors import NonIntegralEntryError, UndefinedTermError
 from .sequences import Sequence, from_list
 
 ExactRational = Fraction
 
-__all__ = [
-    "ExactRational",
-    "Pyramid",
-    "Triangle",
-    "col_seq",
-    "fbinom",
-    "fbinom_values",
-    "ffactorial",
-    "pyramid",
-    "row_seq",
-    "triangle",
-]
+__all__ = [*_EXPORTS["core"]]
 
 
 def ffactorial(f: Sequence, n: int) -> int:

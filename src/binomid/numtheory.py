@@ -10,21 +10,10 @@ import threading
 from dataclasses import dataclass
 from math import isqrt
 
+from . import _EXPORTS
 from .errors import InternalCheckError
 
-__all__ = [
-    "CyclotomicPoly",
-    "Sieve",
-    "cyclotomic",
-    "cyclotomic_eval",
-    "divisors",
-    "euler_phi",
-    "is_prime",
-    "mobius",
-    "prime_power_base",
-    "primes_up_to",
-    "valuation",
-]
+__all__ = [*_EXPORTS["numtheory"], "Sieve"]
 
 
 def _check_positive(n: int) -> None:

@@ -12,45 +12,57 @@ import threading
 from math import comb, factorial
 from typing import Callable
 
+from . import _EXPORTS
 from .errors import UndefinedTermError, ZeroTermError
 from .numtheory import Sieve
 
-__all__ = [
-    "Sequence",
-    "compose_power",
-    "const_seq",
-    "divisor_product_of",
-    "double_terms",
-    "factorial_seq",
-    "fibonacci",
-    "from_list",
-    "g_ab",
-    "h_m",
-    "identity_seq",
-    "interleave_ones",
-    "lucas",
-    "pascal_column",
-    "pascal_row",
-    "power_seq",
-    "prepend_one",
-    "product",
-    "scalar",
-    "triangular_seq",
-]
+__all__ = [*_EXPORTS["sequences"]]
+
+
+class _Terms(dict):
+    """A sequence's terms: index -> nonzero term, computed on first read.
+
+    A missing index is checked, then computed under a reentrant lock, so
+    concurrent readers observe identical values and a rule may read
+    earlier terms of its own sequence. Only defined indices with nonzero
+    terms are stored; an undefined index or a zero term raises on every
+    read. The store holds the rule but never its `Sequence`, so scans may
+    read it directly and no reference cycle keeps the terms alive.
+    """
+
+    __slots__ = ("_name", "_rule", "_length", "_lock")
+
+    def __init__(self, name: str, rule: Callable[[int], int], length: int | None):
+        super().__init__()
+        self._name = name
+        self._rule = rule
+        self._length = length
+        self._lock = threading.RLock()
+
+    def defined_at(self, n: int) -> bool:
+        return n >= 1 and (self._length is None or n <= self._length)
+
+    def __missing__(self, n: int) -> int:
+        if not self.defined_at(n):
+            raise UndefinedTermError(f"{self._name}: term {n} is undefined", index=n)
+        with self._lock:
+            value = self.get(n)
+            if value is None:
+                value = self._rule(n)
+                if value == 0:
+                    raise ZeroTermError(n)
+                self[n] = value
+        return value
 
 
 class Sequence:
     """A deterministic 1-indexed stream of nonzero integers.
 
-    Terms come from `rule` and are cached with compute-once semantics, so
-    concurrent readers observe identical values. The lock is reentrant, so
-    a rule may read earlier terms of its own sequence. The cache holds only
-    defined indices with nonzero terms, so `term` answers from it before
-    checking the index; an undefined index or a zero term is never cached
-    and raises on every read.
+    Terms come from `rule`, computed once each and kept in the sequence's
+    term store (`_Terms`).
     """
 
-    __slots__ = ("name", "length", "_rule", "_cache", "_lock", "__weakref__")
+    __slots__ = ("name", "length", "_rule", "_terms", "__weakref__")
 
     def __init__(self, name: str, rule: Callable[[int], int], length: int | None = None):
         if length is not None and length < 0:
@@ -58,8 +70,7 @@ class Sequence:
         self.name = name
         self.length = length
         self._rule = rule
-        self._cache: dict[int, int] = {}
-        self._lock = threading.RLock()
+        self._terms = _Terms(name, rule, length)
 
     def __repr__(self) -> str:
         size = "unbounded" if self.length is None else f"length {self.length}"
@@ -70,46 +81,14 @@ class Sequence:
         return self.length is not None
 
     def defined_at(self, n: int) -> bool:
-        return n >= 1 and (self.length is None or n <= self.length)
+        return self._terms.defined_at(n)
 
     def term(self, n: int) -> int:
-        value = self._cache.get(n)
-        if value is None:
-            if not self.defined_at(n):
-                raise UndefinedTermError(f"{self.name}: term {n} is undefined", index=n)
-            with self._lock:
-                value = self._cache.get(n)
-                if value is None:
-                    value = self._rule(n)
-                    if value == 0:
-                        raise ZeroTermError(n)
-                    self._cache[n] = value
-        return value
+        return self._terms[n]
 
     def prefix(self, count: int) -> list[int]:
         """The first `count` terms as a list."""
-        return [self.term(n) for n in range(1, count + 1)]
-
-
-class _Terms(dict):
-    """One scan's view of a sequence: index -> term, read on first touch.
-
-    The first read of an index goes through `Sequence.term`, so terms are
-    computed, and zero or undefined terms raise, at the same indices and in
-    the same order as direct calls would; every later read is a plain dict
-    hit. A scan keeps it as a local: it points at the sequence and never
-    the other way round, so no reference cycle outlives the scan.
-    """
-
-    __slots__ = ("_term",)
-
-    def __init__(self, f: Sequence):
-        super().__init__()
-        self._term = f.term
-
-    def __missing__(self, n: int) -> int:
-        value = self[n] = self._term(n)
-        return value
+        return [self._terms[n] for n in range(1, count + 1)]
 
 
 def from_list(values, name: str | None = None) -> Sequence:
@@ -221,7 +200,7 @@ def divisor_product_of(g: Sequence) -> Sequence:
             sieve = Sieve(max(2 * sieve.limit, n))
         total = 1
         for d in sieve.divisors(n):
-            total *= g.term(d)
+            total *= g._terms[d]
         return total
 
     return Sequence(f"P({g.name})", rule, length=g.length)

@@ -14,24 +14,12 @@ from dataclasses import dataclass
 from fractions import Fraction
 from math import comb, factorial
 
+from . import _EXPORTS
 from .core import _rows, fbinom, fbinom_values, ffactorial
 from .errors import InternalCheckError
 from .sequences import Sequence, h_m, pascal_column
 
-__all__ = [
-    "CheckResult",
-    "ExponentVector",
-    "check_delta_pattern",
-    "check_determinant_identity",
-    "check_hm_identity",
-    "check_recurrence_step",
-    "check_slice_identity",
-    "check_symmetry",
-    "check_window_minimality",
-    "delta",
-    "generic_factorial_exponents",
-    "generic_pyramid_entry",
-]
+__all__ = [*_EXPORTS["verify"]]
 
 
 @dataclass(frozen=True)

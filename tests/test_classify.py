@@ -1,6 +1,8 @@
 import dataclasses
 import gc
 import random
+import sys
+import tracemalloc
 import weakref
 from fractions import Fraction
 from math import gcd, prod
@@ -746,8 +748,9 @@ def full_battery(f, bound):
 
 
 class TestScansKeepNoCycle:
-    """A scan's memo points at the sequence, never back, so a finished job's
-    terms are freed by reference counting alone."""
+    """The scans read the sequence's own term store, which holds the rule but
+    never the sequence, so a finished job's terms are freed by reference
+    counting alone."""
 
     @pytest.fixture(autouse=True)
     def no_cyclic_collector(self):
@@ -787,3 +790,24 @@ class TestScansKeepNoCycle:
         f.term(300)  # past the rule's sieve: it is rebuilt larger
         del f, g
         assert [ref() for ref in refs] == [None, None, None]
+
+
+class TestScansKeepNoCopyOfTheTerms:
+    """With the terms already read, a scan allocates less than a dict with
+    one entry per term: it reads the sequence's own store, not a copy."""
+
+    @pytest.mark.parametrize("scan, bound", [
+        (is_multiplicative, 3000), (is_homomorphic, 3000),
+        (is_gcd_sequence, 300), (is_dual_gcd, 300)])
+    def test_peak_stays_below_a_dict_of_the_terms(self, scan, bound):
+        f = identity_seq()
+        f.prefix(bound)
+        copy_size = sys.getsizeof(dict.fromkeys(range(1, bound + 1)))
+        tracemalloc.start()
+        try:
+            rep = scan(f, bound)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert rep.holds()
+        assert peak < copy_size, (peak, copy_size)

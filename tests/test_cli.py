@@ -1,9 +1,12 @@
 import contextlib
 import io
 import json
+import os
+import subprocess
 import sys
 from fractions import Fraction
 from math import comb
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -240,6 +243,29 @@ class TestStreamedOutput:
         monkeypatch.setattr(cli, "print", lines.append, raising=False)
         assert main(["triangle", "I", "--rows", "30", "--format", "csv"]) == 0
         assert len(lines) == 31 and lines[30] == ",".join(str(comb(30, k)) for k in range(31))
+
+
+class TestClosedStdout:
+    """A reader that closes stdout early ends the CLI with exit 141 and
+    nothing on stderr. Each output is far past a 64 KB pipe buffer, so the
+    write that fails does not depend on timing."""
+
+    @pytest.mark.parametrize("argv", [
+        ["triangle", "I", "--rows", "3000", "--format", "csv"],
+        ["invert", "gq:2", "--terms", "3000", "--format", "json"],
+    ], ids=["triangle-csv", "invert-json"])
+    def test_exits_141_quietly(self, tmp_path, argv):
+        src = str(Path(cli.__file__).resolve().parent.parent)
+        err = tmp_path / "stderr"
+        with open(err, "wb") as err_file:
+            proc = subprocess.Popen(
+                [sys.executable, "-m", "binomid.cli", *argv],
+                env={**os.environ, "PYTHONPATH": src},
+                stdout=subprocess.PIPE, stderr=err_file)
+            assert len(proc.stdout.read(10)) == 10
+            proc.stdout.close()
+            code = proc.wait(timeout=60)
+        assert (code, err.read_bytes()) == (141, b"")
 
 
 class TestClassifyCommand:
