@@ -60,30 +60,58 @@ def _report(prop: str, bound: int, witness: dict | None, reduced: int | None = N
                                 witness, reduced, note)
 
 
+def _certified(t: list[int], n: int) -> bool:
+    """The dual-gcd step: is row n integral whenever row n-1 is?
+
+    `t[i]` is f(i). With g = gcd(f(k), f(n-k)) = u f(k) + v f(n-k), the
+    identities [n k] f(k) = [n-1 k-1] f(n) and [n k] f(n-k) = [n-1 k] f(n)
+    give [n k] g = f(n) (u [n-1 k-1] + v [n-1 k]). So if g divides f(n)
+    for every 1 <= k <= n/2, an integral row n-1 makes row n integral.
+    """
+    f_n = t[n]
+    for k in range(1, n // 2 + 1):
+        if f_n % gcd(t[k], t[n - k]):
+            return False
+    return True
+
+
 def is_binomid(f: Sequence, bound: int) -> ClassificationReport:
     """Is every [n k] over f an integer, for n up to the bound?
 
-    The rows come from the triangle's row kernel, built only down to the
-    witness: the first non-integral entry in row order. Every built row is
-    checked against the identity the definition gives between adjacent
-    rows, [n k] f(n-k) = [n-1 k] f(n) for 1 <= k <= n/2, with [n 0] = 1
-    and the row equal to its own reverse; by induction on n these fix
-    every entry, with no division and nothing larger than an entry times
-    a term. The kernel yields an integral entry as a plain int, so every
-    row above the witness compares as plain integers; on the witness row
-    a Fraction entry's product is an exact Fraction, equal to the int on
-    the other side only when the identity holds. The witness is the first
-    entry of the row's half that is not an int. A mismatch is an
+    Rows 0 and 1 are integral, and each row n that passes the dual-gcd
+    step (`_certified`) is integral if row n-1 is, so it is not built.
+    The triangle's row kernel builds each row the step rejects, and also
+    row n-1 when that row was certified, which must then hold only ints.
+    By induction on n the first built row with a non-integral entry is
+    the first non-integral row, and the witness is the first entry of its
+    half that is not an int. Every row the step rejects is checked
+    against the kernel's row n-1 by the identity the definition gives
+    between adjacent rows, [n k] f(n-k) = [n-1 k] f(n) for 1 <= k <= n/2,
+    with [n 0] = 1 and the row equal to its own reverse; these fix every
+    entry, with no division and nothing larger than an entry times a
+    term. The kernel yields an integral entry as a plain int, so a
+    Fraction entry's product is an exact Fraction, equal to the int on
+    the other side only when the identity holds. A mismatch is an
     arithmetic bug.
     """
     eff, reduced, note = _capped(f, bound)
     terms = f.prefix(eff)
+    t = [1, *terms]
     witness = None
-    above = []
-    for n, row in enumerate(_rows(terms)):
+    rows = None  # the kernel's rows from n-1 on, while the step rejects each row
+    for n in range(eff + 1):
+        if _certified(t, n):
+            rows = None
+            continue
+        if rows is None:
+            rows = _rows(terms, n - 1)
+            above = next(rows)
+            if any(type(q) is not int for q in above):
+                raise InternalCheckError(f"triangle row {n - 1} is certified but not integral")
+        row = next(rows)
         h = n // 2
-        lhs = [a * t for a, t in zip(row[1:h + 1], reversed(terms[n - h - 1:n - 1]))]
-        rhs = [c * terms[n - 1] for c in above[1:h + 1]]
+        lhs = [row[k] * t[n - k] for k in range(1, h + 1)]
+        rhs = [above[k] * t[n] for k in range(1, h + 1)]
         if row != row[::-1] or row[0] != 1 or lhs != rhs:
             raise InternalCheckError(f"triangle row {n} fails the column identity")
         k = next((k for k, q in enumerate(row[:h + 1]) if type(q) is not int), None)

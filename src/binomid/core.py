@@ -117,8 +117,8 @@ def _row(term, n: int, last: int):
         yield num if den == 1 else value
 
 
-def _rows(terms: list[int]):
-    """Yield rows 0..len(terms) of the triangle over the 1-indexed terms.
+def _rows(terms: list[int], start: int = 0):
+    """Yield rows start..len(terms) of the triangle over the 1-indexed terms.
 
     Each row is a list of kernel entries (ints, and Fractions where an
     entry is not an integer), so every step multiplies and divides
@@ -126,7 +126,7 @@ def _rows(terms: list[int]):
     half the row and the rest is its mirror image, since [n k] = [n n-k].
     """
     term = [0, *terms].__getitem__
-    for n in range(len(terms) + 1):
+    for n in range(start, len(terms) + 1):
         half = list(_row(term, n, n // 2))
         yield half + half[:(n + 1) // 2][::-1]
 

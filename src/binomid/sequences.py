@@ -214,10 +214,15 @@ def _combined_length(f: Sequence, g: Sequence) -> int | None:
     return min(f.length, g.length)
 
 
+# Combinator rules read the inner store `f._terms[n]`, which is all that
+# `f.term(n)` does: the same value and the same error, with one frame less
+# of recursion per level of nesting.
+
+
 def product(f: Sequence, g: Sequence) -> Sequence:
     """Pointwise product."""
     return Sequence(f"product({f.name},{g.name})",
-                    lambda n: f.term(n) * g.term(n),
+                    lambda n: f._terms[n] * g._terms[n],
                     length=_combined_length(f, g))
 
 
@@ -225,14 +230,14 @@ def scalar(c: int, f: Sequence) -> Sequence:
     """Pointwise multiple by a nonzero constant."""
     if c == 0:
         raise ValueError("scalar must be nonzero")
-    return Sequence(f"scalar({c},{f.name})", lambda n: c * f.term(n), length=f.length)
+    return Sequence(f"scalar({c},{f.name})", lambda n: c * f._terms[n], length=f.length)
 
 
 def prepend_one(f: Sequence) -> Sequence:
     """The sequence 1, f_1, f_2, ..."""
     length = None if f.length is None else f.length + 1
     return Sequence(f"prepend1({f.name})",
-                    lambda n: 1 if n == 1 else f.term(n - 1),
+                    lambda n: 1 if n == 1 else f._terms[n - 1],
                     length=length)
 
 
@@ -240,7 +245,7 @@ def interleave_ones(f: Sequence) -> Sequence:
     """The sequence 1, f_1, 1, f_2, 1, f_3, ..."""
     length = None if f.length is None else 2 * f.length
     return Sequence(f"interleave1({f.name})",
-                    lambda n: 1 if n % 2 else f.term(n // 2),
+                    lambda n: 1 if n % 2 else f._terms[n // 2],
                     length=length)
 
 
@@ -248,7 +253,7 @@ def double_terms(f: Sequence) -> Sequence:
     """The sequence f_1, f_1, f_2, f_2, ..."""
     length = None if f.length is None else 2 * f.length
     return Sequence(f"double({f.name})",
-                    lambda n: f.term((n + 1) // 2),
+                    lambda n: f._terms[(n + 1) // 2],
                     length=length)
 
 
@@ -256,7 +261,7 @@ def compose_power(e: int, f: Sequence) -> Sequence:
     """Pointwise e-th power; the canonical family of term-wise homomorphic maps."""
     if e < 0:
         raise ValueError("exponent must be nonnegative")
-    return Sequence(f"pow({e},{f.name})", lambda n: f.term(n) ** e, length=f.length)
+    return Sequence(f"pow({e},{f.name})", lambda n: f._terms[n] ** e, length=f.length)
 
 
 def h_m(m: int) -> Sequence:

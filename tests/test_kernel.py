@@ -8,7 +8,9 @@ triangle.
 
 `is_binomid` once decided by the window-divisibility criterion (the
 product of the first k terms divides every product of k consecutive
-terms); that scan is kept here as a second witness oracle.
+terms); that scan is kept here as a second witness oracle. Before the
+dual-gcd step certified rows, it built and guarded every row down to the
+witness; that route is kept as the oracle of the step.
 """
 
 from fractions import Fraction
@@ -20,9 +22,9 @@ from hypothesis import strategies as st
 import binomid.classify
 import binomid.core
 from binomid import (InternalCheckError, NonIntegralEntryError, Sequence,
-                     fbinom, fibonacci, from_list, is_binomid, row_seq,
-                     triangle)
-from binomid.cli import main
+                     divisor_product_of, fbinom, fibonacci, from_list,
+                     is_binomid, row_seq, triangle, triangular_seq)
+from binomid.cli import main, parse_seqspec
 
 nonzero = st.integers(-40, 40).filter(lambda v: v != 0)
 signs = st.lists(st.sampled_from([1, -1]), min_size=14, max_size=14)
@@ -174,6 +176,59 @@ class TestKernelAgainstFactorialQuotients:
                                        for k in range(n + 1))
 
 
+def all_rows_is_binomid(f, bound):
+    """is_binomid before the dual-gcd step: the kernel builds every row up
+    to the witness, and each row is guarded by the column identity."""
+    eff, reduced, note = binomid.classify._capped(f, bound)
+    terms = f.prefix(eff)
+    witness = None
+    above = []
+    for n, row in enumerate(binomid.core._rows(terms)):
+        h = n // 2
+        lhs = [a * t for a, t in zip(row[1:h + 1], reversed(terms[n - h - 1:n - 1]))]
+        rhs = [c * terms[n - 1] for c in above[1:h + 1]]
+        if row != row[::-1] or row[0] != 1 or lhs != rhs:
+            raise InternalCheckError(f"triangle row {n} fails the column identity")
+        k = next((k for k, q in enumerate(row[:h + 1]) if type(q) is not int), None)
+        if k is not None:
+            witness = {"m": n - k, "k": k, "n": n, "value": row[k]}
+            break
+        above = row
+    return binomid.classify._report("binomid", bound, witness, reduced, note)
+
+
+# signed lists, with zero terms that surface only when prefix reads them
+step_lists = st.one_of(
+    st.lists(st.sampled_from([1, -1, 2, -2, 3, 4, -6]), min_size=1, max_size=14),
+    st.lists(st.one_of(nonzero, st.sampled_from([1, -1, 0])), min_size=1, max_size=14),
+    st.builds(lambda base, sign, size: [s * v for s, v in zip(sign, base)][:size],
+              integral_bases, signs, st.integers(1, 14)),
+)
+
+
+class TestStepAgainstAllRows:
+    @settings(max_examples=400, deadline=None)
+    @given(step_lists, st.booleans(), st.integers(1, 18))
+    def test_same_report_or_error(self, values, divisor_product, bound):
+        def fresh():
+            f = Sequence("s", lambda n: values[n - 1], length=len(values))
+            return divisor_product_of(f) if divisor_product else f
+
+        assert (outcome(lambda: is_binomid(fresh(), bound))
+                == outcome(lambda: all_rows_is_binomid(fresh(), bound)))
+
+    @pytest.mark.parametrize("spec", [
+        "I", "fact", "T", "fib", "cpow:3", "gq:2", "gab:5,2", "lucas:3,2",
+        "lucas:1,1", "pcol:2", "prow:12", "hm:2", "P(gq:2)", "P(I)",
+        "product(fib,gq:2)", "product(I,lucas:3,2)", "scalar(-2,fib)",
+        "pow(2,T)", "prepend1(I)", "interleave1(fib)", "double(I)",
+        "col(2,fib)", "col(3,T)", "list:2,1,2,3,4,4"])
+    def test_families(self, spec):
+        build = parse_seqspec(spec).build
+        assert (outcome(lambda: is_binomid(build(), 60))
+                == outcome(lambda: all_rows_is_binomid(build(), 60)))
+
+
 def _corrupt_kernel(monkeypatch, at_n, at_k, delta):
     original = binomid.core._row
 
@@ -185,10 +240,13 @@ def _corrupt_kernel(monkeypatch, at_n, at_k, delta):
 
 
 class TestCrossCheckIsLive:
+    # the dual-gcd step certifies every row of fib, I and 1..n, so the kernel
+    # never builds them; over T it rejects rows 4, 6, 7, 8 and 10, and those
+    # rows (with rows 3 and 5 rebuilt to guard them) are the ones corrupted
     def test_spurious_fraction_is_caught(self, monkeypatch):
         _corrupt_kernel(monkeypatch, 4, 1, Fraction(1, 2))
         with pytest.raises(InternalCheckError):
-            is_binomid(fibonacci(), 6)
+            is_binomid(triangular_seq(), 6)
 
     def test_hidden_fraction_is_caught(self, monkeypatch):
         # over (2, 3) the first non-integral entry is [2 1] = 3/2; the
@@ -202,7 +260,7 @@ class TestCrossCheckIsLive:
 
     def test_classify_exits_3(self, capsys, monkeypatch):
         _corrupt_kernel(monkeypatch, 4, 1, Fraction(1, 2))
-        code = main(["classify", "I", "--bound", "6"])
+        code = main(["classify", "T", "--bound", "6"])
         captured = capsys.readouterr()
         assert code == 3
         assert captured.out == ""
@@ -213,48 +271,62 @@ class TestCrossCheckIsLive:
         # [6 4] is a copy of [6 2] in the kernel's rows; change only the copy
         original = binomid.classify._rows
 
-        def corrupted(terms):
-            for n, row in enumerate(original(terms)):
-                if n == 6:
+        def corrupted(*args):
+            for row in original(*args):
+                if len(row) == 7:
                     row[4] += 1
                 yield row
 
-        assert is_binomid(fibonacci(), 8).holds()
+        assert is_binomid(triangular_seq(), 8).holds()
         monkeypatch.setattr(binomid.classify, "_rows", corrupted)
         with pytest.raises(InternalCheckError, match="row 6"):
-            is_binomid(fibonacci(), 8)
+            is_binomid(triangular_seq(), 8)
 
     def test_fractional_mirror_is_guarded(self, monkeypatch):
         # a spurious fraction past the middle of a row, where the kernel
         # never walks, is caught before it could become a witness
         original = binomid.classify._rows
 
-        def corrupted(terms):
-            for n, row in enumerate(original(terms)):
-                if n == 5:
-                    row[3] += Fraction(1, 2)
+        def corrupted(*args):
+            for row in original(*args):
+                if len(row) == 8:
+                    row[5] += Fraction(1, 2)
                 yield row
 
         monkeypatch.setattr(binomid.classify, "_rows", corrupted)
-        with pytest.raises(InternalCheckError, match="row 5"):
-            is_binomid(from_list(range(1, 9)), 8)
+        with pytest.raises(InternalCheckError, match="row 7"):
+            is_binomid(triangular_seq(), 8)
 
     def test_unit_edge_is_guarded(self, monkeypatch):
         # [4 0] = [4 4] = 2 keeps the row a palindrome and leaves every
         # 1 <= k <= n/2 alone, so only the unit edge catches it
         _corrupt_kernel(monkeypatch, 4, 0, 1)
         with pytest.raises(InternalCheckError, match="row 4"):
-            is_binomid(from_list(range(1, 7)), 6)
+            is_binomid(triangular_seq(), 6)
 
     def test_rows_stop_at_the_witness_row(self, monkeypatch, two_pow_a):
+        # the step rejects rows 4 and 6 of two_pow_a; rows 3 and 5 are
+        # rebuilt to guard them, and row 6 holds the witness
         built = []
         original = binomid.classify._rows
 
-        def counted(terms):
-            for n, row in enumerate(original(terms)):
-                built.append(n)
+        def counted(*args):
+            for row in original(*args):
+                built.append(len(row) - 1)
                 yield row
 
         monkeypatch.setattr(binomid.classify, "_rows", counted)
         assert is_binomid(two_pow_a, 20).witness["n"] == 6
-        assert built == list(range(7))
+        assert built == [3, 4, 5, 6]
+
+    def test_certified_row_must_be_integral(self, monkeypatch):
+        # over (4, 6, 3), [2 1] = 3/2 and the step rejects rows 2 and 3; a
+        # step that wrongly certifies row 2 is caught when row 3 rebuilds it
+        f = from_list([4, 6, 3])
+        assert is_binomid(f, 3).witness["n"] == 2
+        original = binomid.classify._certified
+        monkeypatch.setattr(binomid.classify, "_certified",
+                            lambda t, n: n == 2 or original(t, n))
+        with pytest.raises(InternalCheckError,
+                           match="triangle row 2 is certified but not integral"):
+            is_binomid(f, 3)

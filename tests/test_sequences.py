@@ -201,6 +201,27 @@ class TestCombinators:
         seq = product(from_list([1, 2, 3]), identity_seq())
         assert seq.length == 3
 
+    @pytest.mark.parametrize("wrap", [
+        lambda f: product(f, const_seq(1)),
+        lambda f: scalar(-1, f),
+        lambda f: compose_power(1, f),
+    ], ids=["product", "scalar", "pow"])
+    def test_nesting_300_deep(self, wrap):
+        # a term miss costs three frames per level (the store's subscript,
+        # `__missing__` and the rule), so 300 levels fit in 1000 frames
+        seq = identity_seq()
+        for _ in range(300):
+            seq = wrap(seq)
+        frame, depth = sys._getframe(), 0
+        while frame is not None:
+            frame, depth = frame.f_back, depth + 1
+        limit = sys.getrecursionlimit()
+        sys.setrecursionlimit(depth + 1000)
+        try:
+            assert seq.prefix(3) == [1, 2, 3]
+        finally:
+            sys.setrecursionlimit(limit)
+
 
 class TestHm:
     def test_values(self):
