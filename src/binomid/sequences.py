@@ -14,7 +14,7 @@ from typing import Callable
 
 from . import _EXPORTS
 from .errors import UndefinedTermError, ZeroTermError
-from .numtheory import Sieve
+from .numtheory import divisors
 
 __all__ = [*_EXPORTS["sequences"]]
 
@@ -186,20 +186,11 @@ def fibonacci() -> Sequence:
 
 
 def divisor_product_of(g: Sequence) -> Sequence:
-    """Term n is the product of g over all divisors of n.
-
-    Divisors come from a sieve that the rule rebuilds at twice its limit
-    (or at n) when an index passes it; the sequence's lock serializes the
-    rule, so the sieve needs no lock of its own.
-    """
-    sieve = Sieve(0)
+    """Term n is the product of g over all divisors of n, read ascending."""
 
     def rule(n: int) -> int:
-        nonlocal sieve
-        if n > sieve.limit:
-            sieve = Sieve(max(2 * sieve.limit, n))
         total = 1
-        for d in sieve.divisors(n):
+        for d in divisors(n):
             total *= g._terms[d]
         return total
 

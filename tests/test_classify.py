@@ -787,7 +787,7 @@ class TestScansKeepNoCycle:
         f = divisor_product_of(g)
         refs = [weakref.ref(g), weakref.ref(f), weakref.ref(f._rule)]
         full_battery(f, 24)
-        f.term(300)  # past the rule's sieve: it is rebuilt larger
+        f.term(300)  # a late term, past every index the battery read
         del f, g
         assert [ref() for ref in refs] == [None, None, None]
 

