@@ -19,11 +19,11 @@ _EXPORTS = {
     "classify": (
         "FAILS", "HOLDS", "ClassificationReport", "DivisorProductProfile",
         "PerPrimeDecomposition", "ProfileCriterion", "additive_binomid_check",
-        "divisor_product_profile", "is_binomid", "is_binomid_at_level",
-        "is_binomid_every_level", "is_divisible", "is_divisor_chain",
-        "is_divisor_product", "is_dual_gcd", "is_gcd_sequence",
-        "is_homomorphic", "is_multiplicative", "mobius_invert",
-        "per_prime_decomposition"),
+        "battery", "divisor_product_profile", "is_binomid",
+        "is_binomid_at_level", "is_binomid_every_level", "is_divisible",
+        "is_divisor_chain", "is_divisor_product", "is_dual_gcd",
+        "is_gcd_sequence", "is_homomorphic", "is_multiplicative",
+        "mobius_invert", "per_prime_decomposition"),
     "core": (
         "ExactRational", "Pyramid", "Triangle", "col_seq", "fbinom",
         "fbinom_values", "ffactorial", "pyramid", "row_seq", "triangle"),

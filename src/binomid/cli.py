@@ -481,32 +481,36 @@ def _cmd_classify(args) -> int:
                 raise ValueError(f"unknown property {name!r}; choose from {choices}")
         if "binomid_every_level" in selected and args.levels is None:
             raise ValueError("binomid_every_level requires --levels")
-    reports = [getattr(cls, "is_" + name)(seq, args.bound) for name in cls.PROPERTIES
-               if selected is None or name in selected]
+    reports = cls.battery(seq, args.bound, [name for name in cls.PROPERTIES
+                                            if selected is None or name in selected])
     if args.levels is not None and (selected is None
                                     or "binomid_every_level" in selected):
         reports.append(cls.is_binomid_every_level(seq, args.levels, args.bound))
+    # everything that can raise runs before the first print, so a run that
+    # exits 2 or 3 leaves stdout empty
+    decomp = profile = None
+    if args.per_prime is not None:
+        decomp = cls.per_prime_decomposition(seq, args.bound, args.per_prime)
+    if args.profile:
+        profile = cls.divisor_product_profile(seq, args.bound)
     if args.format == "json":
         doc = [report_to_json(r) for r in reports]
         extras = {}
-        if args.per_prime is not None:
-            extras["per_prime"] = per_prime_to_json(
-                cls.per_prime_decomposition(seq, args.bound, args.per_prime))
-        if args.profile:
-            extras["profile"] = profile_to_json(cls.divisor_product_profile(seq, args.bound))
+        if decomp is not None:
+            extras["per_prime"] = per_prime_to_json(decomp)
+        if profile is not None:
+            extras["profile"] = profile_to_json(profile)
         print(json.dumps({"reports": doc, **extras} if extras else doc, indent=2))
     else:
         for rep in reports:
             print(_report_line(rep))
-        if args.per_prime is not None:
-            decomp = cls.per_prime_decomposition(seq, args.bound, args.per_prime)
+        if decomp is not None:
             for p, rep in decomp.reports:
                 print(f"per-prime {p}: {rep.verdict}")
             for idx, cofactor in decomp.undecided:
                 print(f"per-prime undecided: term {idx} has cofactor {cofactor} "
                       f"beyond prime bound {args.per_prime}")
-        if args.profile:
-            profile = cls.divisor_product_profile(seq, args.bound)
+        if profile is not None:
             if not profile.precondition_ok:
                 print(f"profile unavailable: {_witness_text(profile.precondition_witness)}")
             else:

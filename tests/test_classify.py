@@ -14,7 +14,7 @@ from hypothesis import strategies as st
 import binomid.classify
 from binomid import (FAILS, HOLDS, InternalCheckError, Sequence,
                      UndefinedTermError, ZeroTermError,
-                     additive_binomid_check, col_seq, compose_power,
+                     additive_binomid_check, battery, col_seq, compose_power,
                      divisor_product_of, divisor_product_profile, divisors,
                      factorial_seq,
                      fbinom, fibonacci, from_list, g_ab, identity_seq,
@@ -507,26 +507,31 @@ signed_lists = st.lists(signed_terms, min_size=1, max_size=9)
 
 
 def implication_chain(f, bound):
-    """Check the chain at one bound; return the premises that held."""
-    gcd_v = is_gcd_sequence(f, bound).holds()
-    dual_v = is_dual_gcd(f, bound).holds()
-    binomid_v = is_binomid(f, bound).holds()
-    dp_v = is_divisor_product(f, bound).holds()
-    div_v = is_divisible(f, bound).holds()
-    if gcd_v:
-        assert dual_v and dp_v, f.name
-    if dual_v:
-        assert binomid_v, f.name
-    if dp_v:
-        assert div_v, f.name
-    return {"gcd": gcd_v, "dual_gcd": dual_v, "divisor_product": dp_v}
+    """Check every premise => conclusion pair of `classify._IMPLIES` by
+    running both scans at one bound; return the premises that held."""
+    table = binomid.classify._IMPLIES
+    names = {*table, *(name for implied in table.values() for name in implied)}
+    held = {name: getattr(binomid.classify, f"is_{name}")(f, bound).holds()
+            for name in sorted(names)}
+    for premise, implied in table.items():
+        if held[premise]:
+            for name in implied:
+                assert held[name], (f.name, premise, name)
+    return {premise: held[premise] for premise in table}
 
 
 class TestImplicationProperty:
-    """gcd => dual-gcd and divisor-product, dual-gcd => binomid and
-    divisor-product => divisible, over random inputs. The pair scans and the
-    Mobius inversion share no code with the triangle kernel, so this also
-    checks the kernel's binomid verdict."""
+    """Every implication `classify.battery` relies on (`classify._IMPLIES`:
+    gcd => dual-gcd, divisor-product, divisible and binomid, dual-gcd =>
+    binomid, divisor-product => divisible), over random inputs. The pair
+    scans and the Mobius inversion share no code with the triangle kernel,
+    so this also checks the kernel's binomid verdict."""
+
+    def test_table_names_only_properties(self):
+        table = binomid.classify._IMPLIES
+        assert set(table) <= set(binomid.classify.PROPERTIES)
+        for implied in table.values():
+            assert set(implied) <= set(binomid.classify.PROPERTIES)
 
     @settings(max_examples=200, deadline=None)
     @given(signed_lists)
@@ -540,7 +545,7 @@ class TestImplicationProperty:
 
     def test_every_premise_fires(self):
         rng = random.Random(61)
-        fired = dict.fromkeys(("gcd", "dual_gcd", "divisor_product"), 0)
+        fired = dict.fromkeys(binomid.classify._IMPLIES, 0)
         for _ in range(300):
             values = [rng.choice([1, -1, 1, -1, 2, -2, 3, 4, 6])
                       for _ in range(rng.randint(1, 8))]
@@ -738,6 +743,81 @@ class TestScansAgainstDirectReads:
                 got = outcome(fast, recorded(values, []), len(values), [])
                 kinds.add(got[0] if isinstance(got, tuple) else got.verdict)
         assert kinds == {HOLDS, FAILS, ZeroTermError}
+
+
+def raised_or_returned(run):
+    try:
+        return run()
+    except Exception as exc:
+        return type(exc), str(exc)
+
+
+def separate_calls(f, bound, names):
+    return [getattr(binomid.classify, f"is_{name}")(f, bound) for name in names]
+
+
+property_subsets = st.lists(st.sampled_from(binomid.classify.PROPERTIES),
+                            min_size=1, unique=True)
+
+
+class TestBatteryAgainstSeparateCalls:
+    """`battery` returns what one `is_<name>` call per name returns, or
+    raises the same error: the error of the first raising call."""
+
+    @pytest.mark.parametrize("wrap", [lambda f: f, divisor_product_of],
+                             ids=["list", "P(list)"])
+    @settings(max_examples=250, deadline=None)
+    @given(lists_with_zeros(), property_subsets)
+    def test_same_reports_or_error(self, wrap, drawn, names):
+        values, bound, _ = drawn
+        got = raised_or_returned(
+            lambda: battery(wrap(recorded(values, [])), bound, names))
+        expected = raised_or_returned(
+            lambda: separate_calls(wrap(recorded(values, [])), bound, names))
+        assert got == expected
+
+    def test_error_is_that_of_the_first_raising_call(self):
+        # divisor_chain reads f(2) before f(1), every other scan f(1) first
+        values = [0, 0, 1, 1]
+        names = ["divisor_chain", "gcd_sequence"]
+        expected = (ZeroTermError, "term at index 2 is zero")
+        assert raised_or_returned(
+            lambda: separate_calls(recorded(values, []), 4, names)) == expected
+        assert raised_or_returned(
+            lambda: battery(recorded(values, []), 4, names)) == expected
+
+    def test_on_named_families(self, phi_seq, h_divisible, w_ones_then_twos):
+        for make in (fibonacci, lambda: lucas(3, 2), lambda: lucas(4, 1),
+                     identity_seq, triangular_seq, factorial_seq,
+                     lambda: power_seq(2), lambda: g_ab(2, 1),
+                     lambda: compose_power(2, identity_seq()),
+                     lambda: divisor_product_of(identity_seq()),
+                     lambda: phi_seq, lambda: h_divisible,
+                     lambda: w_ones_then_twos):
+            names = binomid.classify.PROPERTIES
+            assert battery(make(), 60, names) == separate_calls(make(), 60, names)
+
+    @pytest.mark.parametrize("make, skipped", [
+        (fibonacci, {"dual_gcd", "binomid", "divisor_product", "divisible"}),
+        (factorial_seq, {"binomid", "divisible"}),
+        (triangular_seq, set()),
+    ])
+    def test_implied_scans_do_not_run(self, monkeypatch, make, skipped):
+        called = []
+        for name in binomid.classify.PROPERTIES:
+            scan = getattr(binomid.classify, f"is_{name}")
+            monkeypatch.setattr(binomid.classify, f"is_{name}",
+                                lambda f, bound, scan=scan, name=name:
+                                called.append(name) or scan(f, bound))
+        battery(make(), 60, binomid.classify.PROPERTIES)
+        assert sorted(called) == sorted(set(binomid.classify.PROPERTIES) - skipped)
+
+    def test_nothing_is_implied_at_bound_one(self):
+        # at bound 1 the gcd scan reads no term, so binomid must read f(1)
+        f = Sequence("zero at 1", lambda n: 0)
+        names = ["gcd_sequence", "binomid"]
+        expected = (ZeroTermError, "term at index 1 is zero")
+        assert raised_or_returned(lambda: battery(f, 1, names)) == expected
 
 
 def full_battery(f, bound):

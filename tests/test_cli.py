@@ -481,11 +481,44 @@ class TestInternalCheckError:
             raise InternalCheckError("window criterion and triangle integrality disagree")
 
         monkeypatch.setattr(binomid.classify, "is_binomid", broken)
-        code, out, err = run(capsys, "classify", "I", "--bound", "5")
+        # the full battery settles binomid for I from the gcd scan, so the
+        # broken check runs only when binomid is selected alone
+        code, out, err = run(capsys, "classify", "I", "--bound", "5", "--only", "binomid")
         assert code == 3
         assert out == ""
         assert err == ("error: internal check failed: window criterion and "
                        "triangle integrality disagree\n")
+
+    def test_full_battery_exits_3_when_its_first_scan_fails(self, capsys, monkeypatch):
+        import binomid.classify
+
+        def broken(f, bound):
+            raise InternalCheckError("gcd scan disagrees with itself")
+
+        monkeypatch.setattr(binomid.classify, "is_gcd_sequence", broken)
+        code, out, err = run(capsys, "classify", "I", "--bound", "5")
+        assert code == 3
+        assert out == ""
+        assert err == "error: internal check failed: gcd scan disagrees with itself\n"
+
+
+class TestErrorsPrintNoReports:
+    """A classify run that exits 2 prints nothing to stdout: the per-prime
+    decomposition and the profile run before the first report line."""
+
+    @pytest.mark.parametrize("argv, message", [
+        (["classify", "I", "--bound", "5", "--per-prime", "1"],
+         "prime bound must be at least 2"),
+        (["classify", "product(list:2,3,5,7,lucas:1,1)", "--bound", "4",
+          "--only", "divisor_chain", "--per-prime", "5"],
+         "term at index 3 is zero"),
+    ])
+    @pytest.mark.parametrize("fmt", ["text", "json"])
+    def test_stdout_stays_empty(self, capsys, argv, message, fmt):
+        code, out, err = run(capsys, *argv, "--format", fmt)
+        assert code == 2
+        assert out == ""
+        assert err == f"error: {message}\n"
 
 
 class TestParserReuse:
