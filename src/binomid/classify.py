@@ -17,7 +17,7 @@ from math import gcd
 from . import _EXPORTS
 from .core import _rows, col_seq, pyramid, triangle
 from .errors import InternalCheckError, NonIntegralEntryError
-from .numtheory import Sieve, primes_up_to
+from .numtheory import Sieve, divisors, primes_up_to
 from .sequences import Sequence
 
 HOLDS = "holds_to_bound"
@@ -265,41 +265,125 @@ def is_divisor_chain(f: Sequence, bound: int) -> ClassificationReport:
 
 
 def is_divisible(f: Sequence, bound: int) -> ClassificationReport:
-    """k | n implies f(k) | f(n), over all pairs within the bound."""
+    """k | n implies f(k) | f(n), over all pairs within the bound.
+
+    Each proper divisor k of n is reached from n by prime steps m -> m/p
+    through divisors of n, and divisibility is transitive, so f(k) | f(n)
+    for all k | n <= N exactly when f(n/p) | f(n) for every n <= N and
+    prime p | n. The first n that fails a prime step is therefore the
+    first n with any violation, and its witness is the first k in
+    `divisors(n)` with f(k) not dividing f(n), as a scan of every pair
+    finds it. Terms are read as that scan first reads them: f(2), f(1),
+    then each f(n) as n is reached.
+    """
     eff, reduced, note = _capped(f, bound)
-    sieve = Sieve(eff)
+    spf = Sieve(eff).spf
     t = f._terms
     witness = None
     for n in range(2, eff + 1):
         f_n = t[n]
-        for k in sieve.divisors(n)[:-1]:
-            if f_n % t[k]:
-                witness = {"k": k, "n": n, "f_k": t[k], "f_n": f_n}
+        m = n  # n with the primes stepped so far divided out
+        while m > 1:
+            p = spf[m]
+            if f_n % t[n // p]:
                 break
-        if witness:
+            while m % p == 0:
+                m //= p
+        if m > 1:
+            witness = _divisible_witness(t, n)
             break
     return _report("divisible", bound, witness, reduced, note)
+
+
+def _divisible_witness(t, n: int) -> dict:
+    # n fails a prime step, so some proper divisor k of n has f(k) not dividing f(n)
+    f_n = t[n]
+    for k in divisors(n)[:-1]:
+        if f_n % t[k]:
+            return {"k": k, "n": n, "f_k": t[k], "f_n": f_n}
+    raise InternalCheckError(f"divisible: index {n} fails a prime step but no divisor pair")
 
 
 def is_gcd_sequence(f: Sequence, bound: int) -> ClassificationReport:
     """gcd(f(m), f(n)) = |f(gcd(m, n))| for all pairs within the bound.
 
-    Terms may be negative; `gcd` of signed terms is already nonnegative.
+    Terms may be negative; only a(n) = |f(n)| matters. A pass is proved
+    on the divisor lattice (`_gcd_lattice_holds`), with one gcd per index;
+    only when that proof fails does the pair scan (`_gcd_pair_witness`)
+    run, and it finds the lexicographically first violating pair. Terms
+    are read in ascending order, as the pair scan first reads them, and
+    at a scanned bound of 1 nothing is read.
     """
     eff, reduced, note = _capped(f, bound)
     t = f._terms
     witness = None
-    for m in range(1, eff):  # m = eff has no partner: at eff = 1 nothing is read
+    if eff > 1 and not _gcd_lattice_holds(t, eff):
+        witness = _gcd_pair_witness(t, eff)
+        if witness is None:
+            raise InternalCheckError("gcd_sequence: the lattice certificate fails "
+                                     "but no pair does")
+    return _report("gcd_sequence", bound, witness, reduced, note)
+
+
+def _gcd_lattice_holds(t, eff: int) -> bool:
+    """Is f a gcd sequence on 1..eff? Decided by primitive parts.
+
+    Let g be the unique positive rationals with a(n) = prod of g(d) over
+    d | n (Kimberling's primitive parts of a strong divisibility
+    sequence). Then f is a gcd sequence on 1..N exactly when every g(y)
+    is an integer and g(x), g(y) are coprime for every incomparable pair
+    (neither index divides the other):
+
+    - If so, take m, n <= N and d = gcd(m, n). Their common divisors are
+      the divisors of d, so a(m) = a(d) A and a(n) = a(d) B, with A the
+      product of g(e) over e | m, e not dividing n, and B likewise. Such
+      an e and an e' | n, e' not dividing m, are incomparable: e | e'
+      would give e | n. So gcd(A, B) = 1 and gcd(a(m), a(n)) = a(d).
+    - Conversely, fix a prime p and k >= 1. The indices n <= N with
+      p^k | a(n) are closed under gcd and under multiples within N,
+      since a(gcd(m, n)) = gcd(a(m), a(n)) and a(n) | a(m) when n | m.
+      So they are empty or all multiples of their least element r_k, and
+      v_p(a(n)) = #{k : r_k | n}. Mobius inversion gives v_p(g(n)) =
+      #{k : r_k = n} >= 0. As r_k | r_j for k <= j, the indices of the
+      g divisible by p form a chain, so no incomparable pair shares p.
+
+    The walk computes g(y) = a(y) / D(y) for y = 1, 2, ..., where D(y),
+    the product of g over the proper divisors of y, is built by pushing
+    each g(d) > 1 onto the multiples 2d, 3d, ... . It requires the
+    division to be exact and g(y) coprime to Q(y), the product of g(x)
+    over x < y with x not dividing y; with P the product of g(x) over all
+    x < y, P = D(y) Q(y), so gcd(g, Q) = gcd(g, (P mod g D) / D), with
+    g D = a(y). A g(y) = 1 needs neither test nor update. Each step
+    extends the claim from 1..y-1 to 1..y, so the walk holds to N exactly
+    when f is a gcd sequence on 1..N, and it stops at the first y where
+    1..y is not.
+    """
+    pushed = [1] * (eff + 1)  # D(y), complete once the walk reaches y
+    below = 1  # P: the product of g(x) over x < y
+    for y in range(1, eff + 1):
+        a = abs(t[y])
+        g, r = divmod(a, pushed[y])
+        if r:
+            return False
+        if g > 1:
+            for multiple in range(2 * y, eff + 1, y):
+                pushed[multiple] *= g
+            if gcd(g, below % a // pushed[y]) > 1:
+                return False
+            below *= g
+    return True
+
+
+def _gcd_pair_witness(t, eff: int) -> dict | None:
+    # the first pair (m, n), m < n, with gcd(f(m), f(n)) != |f(gcd(m, n))|
+    for m in range(1, eff):
         f_m = t[m]
         for n in range(m + 1, eff + 1):
             got = gcd(f_m, t[n])
             expected = abs(t[gcd(m, n)])
             if got != expected:
-                witness = {"m": m, "n": n, "gcd": got, "expected": expected}
-                break
-        if witness:
-            break
-    return _report("gcd_sequence", bound, witness, reduced, note)
+                return {"m": m, "n": n, "gcd": got, "expected": expected}
+    return None
 
 
 def is_dual_gcd(f: Sequence, bound: int) -> ClassificationReport:

@@ -68,12 +68,6 @@ def _factorization(n: int) -> list[tuple[int, int]]:
     return out
 
 
-def _euler_phi_of(n: int, factors: list[tuple[int, int]]) -> int:
-    for p, _ in factors:
-        n = n // p * (p - 1)
-    return n
-
-
 def _prime_power_base_of(factors: list[tuple[int, int]]) -> int | None:
     return factors[0][0] if len(factors) == 1 else None
 
@@ -104,7 +98,9 @@ def mobius(n: int) -> int:
 def euler_phi(n: int) -> int:
     """Count of 1 <= k <= n coprime to n."""
     _check_positive(n)
-    return _euler_phi_of(n, _factorization(n))
+    for p, _ in _factorization(n):
+        n = n // p * (p - 1)
+    return n
 
 
 def valuation(p: int, n: int) -> int:
@@ -131,14 +127,14 @@ class Sieve:
     """Smallest-prime-factor and Mobius tables for 1..limit, built once.
 
     `spf[n]` is the smallest prime factor of n >= 2 and `mu[n]` the Mobius
-    function of n >= 1. Building takes O(limit log log limit)
-    steps and O(limit) memory. After that every n up to the limit factors
-    in O(log n) table lookups, so a scan over 1..limit pays for its
-    arithmetic once, not once per index. The methods answer exactly as the
-    functions of the same name.
+    function of n >= 1; `mu` is built from `spf` on first use. Building
+    takes O(limit log log limit) steps and O(limit) memory. After that
+    every n up to the limit factors in O(log n) table lookups, so a scan
+    over 1..limit pays for its arithmetic once, not once per index. The
+    methods answer exactly as the functions of the same name.
     """
 
-    __slots__ = ("limit", "spf", "mu")
+    __slots__ = ("limit", "spf", "_mu")
 
     def __init__(self, limit: int):
         if limit < 0:
@@ -148,15 +144,22 @@ class Sieve:
         # largest prime first, so each multiple keeps its smallest prime
         for p in reversed(primes_up_to(isqrt(limit))):
             spf[p * p::p] = [p] * len(range(p * p, limit + 1, p))
-        mu = [0] * (limit + 1)
-        if limit:
-            mu[1] = 1
-        for n in range(2, limit + 1):
-            p = spf[n]
-            m = n // p
-            mu[n] = 0 if m % p == 0 else -mu[m]
         self.spf = spf
-        self.mu = mu
+        self._mu = None
+
+    @property
+    def mu(self) -> list[int]:
+        if self._mu is None:
+            spf = self.spf
+            mu = [0] * (self.limit + 1)
+            if self.limit:
+                mu[1] = 1
+            for n in range(2, self.limit + 1):
+                p = spf[n]
+                m = n // p
+                mu[n] = 0 if m % p == 0 else -mu[m]
+            self._mu = mu
+        return self._mu
 
     def factorization(self, n: int) -> list[tuple[int, int]]:
         """(prime, exponent) pairs of n, primes ascending."""
@@ -171,16 +174,6 @@ class Sieve:
                 e += 1
             out.append((p, e))
         return out
-
-    def divisors(self, n: int) -> list[int]:
-        out = [1]
-        for p, e in self.factorization(n):
-            out += [d * p ** k for k in range(1, e + 1) for d in out]
-        out.sort()
-        return out
-
-    def euler_phi(self, n: int) -> int:
-        return _euler_phi_of(n, self.factorization(n))
 
     def prime_power_base(self, n: int) -> int | None:
         return _prime_power_base_of(self.factorization(n))

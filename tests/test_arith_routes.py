@@ -1,12 +1,16 @@
 """Differential and liveness tests for the sieve tables, the sieve-backed
-inversion and divisibility scans, and the prefix-extending Lucas rule.
+inversion, the certified gcd and divisibility scans, and the
+prefix-extending Lucas rule.
 
 The trial-division helpers below are the number-theory code the sieve
-replaced in the scans, kept here as the oracle.
+replaced in the scans, and the pair scans below are the routes the
+lattice certificates replaced on passing inputs; both are kept here as
+oracles.
 """
 
 import random
 from fractions import Fraction
+from math import gcd
 
 import pytest
 from hypothesis import given, settings
@@ -16,7 +20,7 @@ from binomid import (InternalCheckError, Sequence, ZeroTermError, classify,
                      divisor_product_of, divisors, euler_phi, fibonacci,
                      from_list, g_ab, identity_seq, lucas, mobius,
                      mobius_invert, prime_power_base, triangular_seq)
-from binomid.cli import main
+from binomid.cli import main, parse_seqspec
 from binomid.numtheory import Sieve
 
 LIMIT = 3000
@@ -94,12 +98,37 @@ def old_mobius_invert(values):
     return inverted
 
 
-def old_divisible_witness(values):
-    for n in range(2, len(values) + 1):
+def old_divisible_witness(t, eff):
+    """The divisible scan before the prime-step certificate: every pair."""
+    for n in range(2, eff + 1):
+        f_n = t[n]
         for k in trial_divisors(n)[:-1]:
-            if values[n - 1] % values[k - 1]:
-                return {"k": k, "n": n, "f_k": values[k - 1], "f_n": values[n - 1]}
+            if f_n % t[k]:
+                return {"k": k, "n": n, "f_k": t[k], "f_n": f_n}
     return None
+
+
+def old_gcd_witness(t, eff):
+    """The gcd scan before the lattice certificate: every pair."""
+    for m in range(1, eff):
+        f_m = t[m]
+        for n in range(m + 1, eff + 1):
+            got = gcd(f_m, t[n])
+            expected = abs(t[gcd(m, n)])
+            if got != expected:
+                return {"m": m, "n": n, "gcd": got, "expected": expected}
+    return None
+
+
+def old_route(prop, witness_of):
+    def scan(f, bound):
+        eff, reduced, note = classify._capped(f, bound)
+        return classify._report(prop, bound, witness_of(f._terms, eff), reduced, note)
+    return scan
+
+
+OLD_SCANS = {"gcd_sequence": old_route("gcd_sequence", old_gcd_witness),
+             "divisible": old_route("divisible", old_divisible_witness)}
 
 
 @pytest.fixture(scope="module")
@@ -114,16 +143,8 @@ class TestSieveAgainstTrialDivision:
         for n in range(1, LIMIT + 1):
             assert sieve.factorization(n) == trial_factorization(n)
 
-    def test_divisors(self, sieve):
-        for n in range(1, LIMIT + 1):
-            assert sieve.divisors(n) == trial_divisors(n)
-
     def test_mobius_table(self, sieve):
         assert sieve.mu[1:] == [trial_mobius(n) for n in range(1, LIMIT + 1)]
-
-    def test_euler_phi(self, sieve):
-        for n in range(1, LIMIT + 1):
-            assert sieve.euler_phi(n) == trial_euler_phi(n)
 
     def test_prime_power_base(self, sieve):
         for n in range(1, LIMIT + 1):
@@ -147,13 +168,12 @@ class TestSieveAgainstTrialDivision:
         assert len(small.spf) == len(small.mu) == limit + 1
         assert small.mu[1:] == [trial_mobius(n) for n in range(1, limit + 1)]
         for n in range(1, limit + 1):
-            assert small.divisors(n) == trial_divisors(n)
+            assert small.factorization(n) == trial_factorization(n)
 
     @pytest.mark.parametrize("n", [0, -1, 31])
     def test_rejects_indices_outside_the_table(self, n):
         small = Sieve(30)
-        for method in (small.factorization, small.divisors, small.euler_phi,
-                       small.prime_power_base):
+        for method in (small.factorization, small.prime_power_base):
             with pytest.raises(ValueError):
                 method(n)
 
@@ -169,12 +189,10 @@ class TestAgainstSympy:
     def sympy(self):
         return pytest.importorskip("sympy", minversion="1.13")
 
-    def test_mobius_divisors_phi_and_prime_powers(self, sieve, sympy):
+    def test_mobius_factorization_and_prime_powers(self, sieve, sympy):
         from sympy.functions.combinatorial.numbers import mobius as sym_mobius
         for n in range(1, 1201):
-            assert sieve.divisors(n) == sympy.divisors(n)
             assert sieve.mu[n] == int(sym_mobius(n))
-            assert sieve.euler_phi(n) == int(sympy.totient(n))
             factors = sympy.factorint(n)
             assert sieve.factorization(n) == sorted(factors.items())
             expected = next(iter(factors)) if len(factors) == 1 else None
@@ -192,9 +210,67 @@ class TestAgainstSympy:
             assert cyclotomic(n).coeffs == tuple(int(c) for c in reversed(coeffs))
 
 
-# -- sieve-backed scans against the old routes --------------------------------
+# -- sieve-backed and certified scans against the old routes ------------------
 
 nonzero = st.integers(-40, 40).filter(bool)
+
+# passing gcd families (strong divisibility sequences), each with the prefix
+# length the tests perturb
+FAMILIES = {"fib": 90, "gq:2": 90, "I": 90, "lucas:3,2": 90, "pow(2,fib)": 20}
+FAMILY_TERMS = {spec: parse_seqspec(spec).build().prefix(length)
+                for spec, length in FAMILIES.items()}
+PERTURB = {
+    "times2": lambda v: 2 * v,
+    "times3": lambda v: 3 * v,
+    "negated": lambda v: -v,
+    "plus1": lambda v: v + 1,
+    "minus1": lambda v: v - 1,  # a 0 where the term was 1
+    "zero": lambda v: 0,
+}
+
+
+@st.composite
+def scan_inputs(draw):
+    """(values, bound, wrap): a prefix of a passing family with up to two
+    terms changed, or a short signed list rich in +-1, zeros allowed (a
+    zero raises when read); the bound may pass the list's end, and `wrap`
+    scans P(list) instead."""
+    if draw(st.booleans()):
+        spec = draw(st.sampled_from(sorted(FAMILIES)))
+        values = FAMILY_TERMS[spec][:draw(st.integers(1, FAMILIES[spec]))]
+        for _ in range(draw(st.integers(0, 2))):
+            i = draw(st.integers(0, len(values) - 1))
+            values[i] = PERTURB[draw(st.sampled_from(sorted(PERTURB)))](values[i])
+    else:
+        term = st.sampled_from([1, -1, 1, -1, 2, -2, 3, -3, 4, 6, -6, 12, 0])
+        values = draw(st.lists(term, min_size=1, max_size=40))
+    bound = draw(st.integers(1, len(values) + 4))
+    return values, bound, draw(st.booleans())
+
+
+def drawn_sequence(values, calls, wrap):
+    def rule(n):
+        calls.append(n)
+        return values[n - 1]
+    f = Sequence("drawn", rule, length=len(values))
+    return divisor_product_of(f) if wrap else f
+
+
+def outcome(scan, f, bound):
+    try:
+        return scan(f, bound)
+    except Exception as exc:
+        return type(exc), str(exc)
+
+
+def assert_same_as_old_route(prop, values, bound, wrap):
+    """Same report, or same error type and message, and the same rule calls."""
+    new_calls, old_calls = [], []
+    got = outcome(getattr(classify, f"is_{prop}"),
+                  drawn_sequence(values, new_calls, wrap), bound)
+    expected = outcome(OLD_SCANS[prop], drawn_sequence(values, old_calls, wrap), bound)
+    assert got == expected
+    assert new_calls == old_calls
 
 
 class TestScansAgainstOldRoutes:
@@ -230,16 +306,78 @@ class TestScansAgainstOldRoutes:
             (q.numerator, q.denominator) for q in expected]
         assert all(q.denominator == 1 for q in quotients) == integral
 
-    @given(st.lists(st.integers(-12, 12).filter(bool), min_size=1, max_size=60))
-    @settings(max_examples=200, deadline=None)
-    def test_divisible_witness_matches_old_route(self, values):
-        rep = classify.is_divisible(from_list(values), len(values))
-        assert rep.witness == old_divisible_witness(values)
+    @given(scan_inputs())
+    @settings(max_examples=300, deadline=None)
+    def test_divisible_witness_matches_old_route(self, drawn):
+        assert_same_as_old_route("divisible", *drawn)
+
+    @given(scan_inputs())
+    @settings(max_examples=300, deadline=None)
+    def test_gcd_witness_matches_old_route(self, drawn):
+        assert_same_as_old_route("gcd_sequence", *drawn)
+
+    @pytest.mark.parametrize("prop", sorted(OLD_SCANS))
+    @pytest.mark.parametrize("change", sorted(PERTURB))
+    @pytest.mark.parametrize("spec", sorted(FAMILIES))
+    def test_perturbed_families(self, spec, change, prop):
+        # a change two thirds of the way in: the certificate passes the
+        # prefix before it, then passes on or stops there
+        values = list(FAMILY_TERMS[spec])
+        i = len(values) * 2 // 3
+        values[i] = PERTURB[change](values[i])
+        for wrap in (False, True):
+            assert_same_as_old_route(prop, values, len(values), wrap)
+
+    @pytest.mark.parametrize("prop", sorted(OLD_SCANS))
+    @pytest.mark.parametrize("spec", sorted(FAMILIES))
+    def test_every_early_change(self, spec, prop):
+        # each of the first 16 terms changed in each way, in a prefix of 40:
+        # f(2) doubled in I divides f(4) but not f(6), which only the step
+        # 6 -> 6/3 sees
+        for i in range(min(16, FAMILIES[spec])):
+            for change in PERTURB.values():
+                values = FAMILY_TERMS[spec][:40]
+                values[i] = change(values[i])
+                assert_same_as_old_route(prop, values, 40, False)
 
     def test_divisible_on_families(self):
         for seq in (identity_seq(), fibonacci(), lucas(3, 2), from_list(range(1, 500))):
-            values = seq.prefix(400)
-            assert classify.is_divisible(seq, 400).witness == old_divisible_witness(values)
+            seq.prefix(400)
+            assert classify.is_divisible(seq, 400) == OLD_SCANS["divisible"](seq, 400)
+
+    def test_gcd_on_families(self):
+        for seq in (identity_seq(), fibonacci(), lucas(3, 2), lucas(5, 6), g_ab(2, 1),
+                    triangular_seq(), divisor_product_of(identity_seq())):
+            seq.prefix(150)
+            assert classify.is_gcd_sequence(seq, 150) == OLD_SCANS["gcd_sequence"](seq, 150)
+
+
+# -- the certificates prove passes on their own -------------------------------
+
+def _never(*args):
+    pytest.fail("a witness search ran on a passing input")
+
+
+class TestCertificateLiveness:
+    @pytest.mark.parametrize("spec, bound", [("fib", 200), ("I", 2000)])
+    def test_passing_gcd_scan_runs_no_pair_scan(self, monkeypatch, spec, bound):
+        monkeypatch.setattr(classify, "_gcd_pair_witness", _never)
+        assert classify.is_gcd_sequence(parse_seqspec(spec).build(), bound).holds()
+
+    @pytest.mark.parametrize("spec, bound", [("fib", 200), ("I", 2000), ("P(I)", 2000)])
+    def test_passing_divisible_scan_runs_no_witness_search(self, monkeypatch, spec, bound):
+        monkeypatch.setattr(classify, "_divisible_witness", _never)
+        assert classify.is_divisible(parse_seqspec(spec).build(), bound).holds()
+
+    def test_a_failing_lattice_walk_needs_a_failing_pair(self, monkeypatch):
+        monkeypatch.setattr(classify, "_gcd_lattice_holds", lambda t, eff: False)
+        with pytest.raises(InternalCheckError, match="lattice certificate"):
+            classify.is_gcd_sequence(fibonacci(), 30)
+
+    def test_a_failing_prime_step_needs_a_failing_divisor(self, monkeypatch):
+        monkeypatch.setattr(classify, "divisors", lambda n: [n])
+        with pytest.raises(InternalCheckError, match="prime step"):
+            classify.is_divisible(from_list([2, 3]), 2)
 
 
 # -- the integer round trip still fires ---------------------------------------
