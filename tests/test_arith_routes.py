@@ -99,12 +99,13 @@ def old_mobius_invert(values):
 
 
 def old_divisible_witness(t, eff):
-    """The divisible scan before the prime-step certificate: every pair."""
+    """The divisible scan before the prime-step certificate: every pair,
+    f(k) read before f(n)."""
     for n in range(2, eff + 1):
-        f_n = t[n]
         for k in trial_divisors(n)[:-1]:
-            if f_n % t[k]:
-                return {"k": k, "n": n, "f_k": t[k], "f_n": f_n}
+            f_k = t[k]
+            if t[n] % f_k:
+                return {"k": k, "n": n, "f_k": f_k, "f_n": t[n]}
     return None
 
 
@@ -464,6 +465,75 @@ class TestProfileInvertsOnce:
         profile = classify.divisor_product_profile(from_list([2, 4]), 2)
         assert profile.precondition_witness == {"reason": "first term is not 1",
                                                 "value": 2}
+
+
+# -- the profile's gcd criterion against every pair of g ------------------------
+
+def old_profile_gcd_witness(g, eff):
+    """The profile's gcd criterion before it read the lattice certificate's
+    verdict: every pair m < n of g with m not dividing n."""
+    for m in range(2, eff + 1):
+        for n in range(m + 1, eff + 1):
+            if n % m:
+                common = gcd(g[m - 1], g[n - 1])
+                if common != 1:
+                    return {"m": m, "n": n, "gcd": common}
+    return None
+
+
+def assert_gcd_criterion_matches_every_pair(f, bound):
+    profile = classify.divisor_product_profile(f, bound)
+    assert profile.precondition_ok
+    eff = profile.bound
+    g = [q.numerator for q in old_mobius_invert(f.prefix(eff))]
+    witness = old_profile_gcd_witness(g, eff)
+    crit = profile.criteria[2]
+    assert crit.property == "gcd_sequence"
+    assert (crit.verdict, crit.witness) == (
+        "holds_to_bound" if witness is None else "fails", witness)
+    return crit.holds()
+
+
+@st.composite
+def negated_divisor_products(draw):
+    """P(list) with g(1) = 1, so f(1) = 1, and some later terms of f negated:
+    a negated f(n) only flips the signs of g(n) and of some g at multiples
+    of n, so f stays a divisor-product."""
+    term = st.sampled_from([1, 1, 1, -1, 2, -2, 3, 5, 4, 6])
+    g = [1, *draw(st.lists(term, min_size=1, max_size=24))]
+    values = divisor_product_of(from_list(g)).prefix(len(g))
+    signs = draw(st.lists(st.booleans(), min_size=len(g), max_size=len(g)))
+    values = [-v if negate and n > 1 else v
+              for n, (v, negate) in enumerate(zip(values, signs), start=1)]
+    return from_list(values), max(1, len(values) - draw(st.integers(0, 2)))
+
+
+class TestProfileGcdCriterion:
+    """A passing gcd criterion is the lattice certificate's verdict, and a
+    failing one is the first pair of g the old loop over every pair finds."""
+
+    @given(negated_divisor_products())
+    @settings(max_examples=300, deadline=None)
+    def test_matches_every_pair_on_negated_divisor_products(self, drawn):
+        assert_gcd_criterion_matches_every_pair(*drawn)
+
+    def test_matches_every_pair_on_families(self, phi_seq):
+        held = [assert_gcd_criterion_matches_every_pair(f, 60) for f in (
+            fibonacci(), lucas(3, 2), lucas(1, 2), identity_seq(), g_ab(2, 1),
+            phi_seq, divisor_product_of(identity_seq()),
+            parse_seqspec("pow(2,fib)").build(), divisor_product_of(triangular_seq()))]
+        assert held == [True, True, True, True, True, False, False, True, False]
+
+    @pytest.mark.parametrize("spec, bound", [("I", 2000), ("fib", 200), ("gq:2", 200)])
+    def test_passing_profile_runs_no_pair_loop(self, monkeypatch, spec, bound):
+        monkeypatch.setattr(classify, "_coprime_pair_witness", _never)
+        profile = classify.divisor_product_profile(parse_seqspec(spec).build(), bound)
+        assert profile.criteria[2].holds()
+
+    def test_a_failing_verdict_needs_a_failing_pair(self, monkeypatch):
+        monkeypatch.setattr(classify, "_coprime_pair_witness", lambda g, eff: None)
+        with pytest.raises(InternalCheckError, match="profile criterion gcd_sequence"):
+            classify.divisor_product_profile(divisor_product_of(identity_seq()), 12)
 
 
 # -- the prefix-extending Lucas rule ------------------------------------------

@@ -305,13 +305,12 @@ class TestPerPrime:
         assert set(reports) == {2}
         assert reports[2].verdict == FAILS
         assert decomp.combined_verdict == FAILS
-        assert decomp.agrees_with_direct is True
+        assert decomp.undecided == ()
 
     def test_pascal_identity_all_primes_hold(self):
         decomp = per_prime_decomposition(identity_seq(), 12, 11)
         assert decomp.undecided == ()
         assert all(rep.holds() for _, rep in decomp.reports)
-        assert decomp.agrees_with_direct is True
 
     def test_six_powers_split_into_two_and_three(self):
         decomp = per_prime_decomposition(power_seq(6), 10, 7)
@@ -322,7 +321,6 @@ class TestPerPrime:
     def test_large_factor_is_reported_undecided(self):
         decomp = per_prime_decomposition(from_list([1, 13, 1]), 3, 11)
         assert decomp.undecided == ((2, 13),)
-        assert decomp.agrees_with_direct is None
 
     def test_rejects_tiny_prime_bound(self):
         with pytest.raises(ValueError):
@@ -399,7 +397,6 @@ class TestPerPrimeAgainstShadowRoute:
         assert decomp.effective_bound == eff
         assert decomp.combined_verdict == (
             HOLDS if all(shadow.holds() for _, shadow in shadows) else FAILS)
-        assert decomp.agrees_with_direct is (None if undecided else True)
 
     def test_direct_check_runs_once_and_only_when_every_term_factors(
             self, monkeypatch):
@@ -437,28 +434,28 @@ class TestPerPrimeAgainstShadowRoute:
                                 "conjunction disagrees with direct check\n")
 
 
+def profile_verdicts(profile):
+    return [(crit.property, crit.verdict) for crit in profile.criteria]
+
+
 class TestProfile:
     def test_phi_profile(self, phi_seq):
         profile = divisor_product_profile(phi_seq, 40)
         assert profile.precondition_ok
-        assert profile.multiplicative.verdict == HOLDS
-        assert profile.multiplicative.agrees
-        assert profile.homomorphic.verdict == FAILS
-        assert profile.gcd.verdict == FAILS
+        assert profile_verdicts(profile) == [
+            ("multiplicative", HOLDS), ("homomorphic", FAILS), ("gcd_sequence", FAILS)]
 
     def test_fibonacci_profile(self):
         profile = divisor_product_profile(fibonacci(), 30)
         assert profile.precondition_ok
-        assert profile.gcd.verdict == HOLDS
-        assert profile.gcd.agrees
-        assert profile.multiplicative.verdict == FAILS
+        assert profile_verdicts(profile) == [
+            ("multiplicative", FAILS), ("homomorphic", FAILS), ("gcd_sequence", HOLDS)]
 
     def test_squares_profile_is_homomorphic(self):
         profile = divisor_product_profile(compose_power(2, identity_seq()), 30)
         assert profile.precondition_ok
-        assert profile.multiplicative.verdict == HOLDS
-        assert profile.homomorphic.verdict == HOLDS
-        assert profile.gcd.verdict == HOLDS
+        assert profile_verdicts(profile) == [
+            ("multiplicative", HOLDS), ("homomorphic", HOLDS), ("gcd_sequence", HOLDS)]
 
     def test_geometric_fails_the_first_term_precondition(self):
         profile = divisor_product_profile(power_seq(2), 20)
@@ -585,8 +582,9 @@ def direct_divisor_chain(f, bound):
     eff, reduced, note = binomid.classify._capped(f, bound)
     witness = None
     for n in range(1, eff):
-        if f.term(n + 1) % f.term(n):
-            witness = {"n": n, "f_n": f.term(n), "f_next": f.term(n + 1)}
+        f_n = f.term(n)
+        if f.term(n + 1) % f_n:
+            witness = {"n": n, "f_n": f_n, "f_next": f.term(n + 1)}
             break
     return binomid.classify._report("divisor_chain", bound, witness, reduced, note)
 
@@ -595,10 +593,10 @@ def direct_divisible(f, bound):
     eff, reduced, note = binomid.classify._capped(f, bound)
     witness = None
     for n in range(2, eff + 1):
-        f_n = f.term(n)
         for k in divisors(n)[:-1]:
-            if f_n % f.term(k):
-                witness = {"k": k, "n": n, "f_k": f.term(k), "f_n": f_n}
+            f_k = f.term(k)
+            if f.term(n) % f_k:
+                witness = {"k": k, "n": n, "f_k": f_k, "f_n": f.term(n)}
                 break
         if witness:
             break
@@ -745,6 +743,23 @@ class TestScansAgainstDirectReads:
         assert kinds == {HOLDS, FAILS, ZeroTermError}
 
 
+class TestScansReadInAscendingOrder:
+    """Every scan first reads f(1), f(2), ..., f(k) in that order, so every
+    scan that raises raises the error of the same term."""
+
+    @pytest.mark.parametrize("wrap", [lambda f: f, divisor_product_of],
+                             ids=["list", "P(list)"])
+    @pytest.mark.parametrize("name", binomid.classify.PROPERTIES)
+    @settings(max_examples=100, deadline=None)
+    @given(lists_with_zeros())
+    def test_first_reads_are_one_to_k(self, name, wrap, drawn):
+        values, bound, _ = drawn
+        calls = []
+        outcome(getattr(binomid.classify, f"is_{name}"),
+                wrap(recorded(values, calls)), bound, [])
+        assert calls == list(range(1, len(calls) + 1))
+
+
 def raised_or_returned(run):
     try:
         return run()
@@ -777,10 +792,10 @@ class TestBatteryAgainstSeparateCalls:
         assert got == expected
 
     def test_error_is_that_of_the_first_raising_call(self):
-        # divisor_chain reads f(2) before f(1), every other scan f(1) first
+        # every scan reads f(1) first, so both scans raise at index 1
         values = [0, 0, 1, 1]
         names = ["divisor_chain", "gcd_sequence"]
-        expected = (ZeroTermError, "term at index 2 is zero")
+        expected = (ZeroTermError, "term at index 1 is zero")
         assert raised_or_returned(
             lambda: separate_calls(recorded(values, []), 4, names)) == expected
         assert raised_or_returned(
@@ -818,6 +833,37 @@ class TestBatteryAgainstSeparateCalls:
         names = ["gcd_sequence", "binomid"]
         expected = (ZeroTermError, "term at index 1 is zero")
         assert raised_or_returned(lambda: battery(f, 1, names)) == expected
+
+
+class TestOneDecisionPerRun:
+    """One classify run decides each property once: `--per-prime` and
+    `--profile` read what the battery decided or settled."""
+
+    @pytest.mark.parametrize("argv, scanned", [
+        (["fib", "--bound", "60", "--profile", "--per-prime", "7"],
+         {"gcd_sequence", "divisor_chain", "multiplicative", "homomorphic"}),
+        (["P(I)", "--bound", "60", "--profile", "--per-prime", "7"],
+         set(binomid.classify.PROPERTIES) - {"divisible"}),
+        (["cpow:6", "--bound", "30", "--only", "binomid", "--per-prime", "7"],
+         {"binomid"}),
+        (["fact", "--bound", "40", "--only", "divisor_chain", "--per-prime", "41"],
+         {"divisor_chain", "binomid"}),
+        (["lucas:1,-1", "--bound", "80", "--only", "divisor_product", "--profile"],
+         {"divisor_product", "gcd_sequence", "multiplicative", "homomorphic"}),
+    ], ids=["fib", "P(I)", "cpow:6", "fact", "lucas:1,-1"])
+    def test_no_scan_runs_twice(self, monkeypatch, capsys, argv, scanned):
+        calls = []
+        for name in ("mobius_invert", *(f"is_{p}" for p in binomid.classify.PROPERTIES)):
+            monkeypatch.setattr(binomid.classify, name,
+                                lambda *args, run=getattr(binomid.classify, name),
+                                name=name: calls.append(name) or run(*args))
+        assert main(["classify", *argv]) in (0, 1)
+        capsys.readouterr()
+        scans = [name for name in calls if name != "mobius_invert"]
+        assert sorted(scans) == sorted(f"is_{name}" for name in scanned)
+        # the profile inverts f itself, after a divisor-product scan did
+        assert calls.count("mobius_invert") == (
+            ("--profile" in argv) + ("divisor_product" in scanned))
 
 
 def full_battery(f, bound):

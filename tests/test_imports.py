@@ -21,7 +21,7 @@ SRC = str(Path(binomid.__file__).resolve().parent.parent)
 EXPORTS = {
     "classify": [
         "FAILS", "HOLDS", "ClassificationReport", "DivisorProductProfile",
-        "PerPrimeDecomposition", "ProfileCriterion", "additive_binomid_check",
+        "PerPrimeDecomposition", "additive_binomid_check",
         "battery", "divisor_product_profile", "is_binomid",
         "is_binomid_at_level", "is_binomid_every_level", "is_divisible",
         "is_divisor_chain", "is_divisor_product", "is_dual_gcd",
