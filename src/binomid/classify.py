@@ -17,7 +17,7 @@ from math import gcd
 from . import _EXPORTS
 from .core import _rows, col_seq, pyramid, triangle
 from .errors import InternalCheckError, NonIntegralEntryError
-from .numtheory import Sieve, divisors, primes_up_to
+from .numtheory import divisors, mobius_table, primes_up_to, smallest_prime_factors
 from .sequences import Sequence
 
 HOLDS = "holds_to_bound"
@@ -218,7 +218,7 @@ def _mobius_quotients(values: list[int]) -> list[Fraction]:
     # each f(d) goes to the multiples n = d*j with j squarefree, into the
     # numerator of g(n) when mu(j) = 1 and the denominator when mu(j) = -1
     count = len(values)
-    mu = Sieve(count).mu
+    mu = mobius_table(count)
     num = [1] * (count + 1)
     den = [1] * (count + 1)
     for d, value in enumerate(values, start=1):
@@ -278,7 +278,7 @@ def is_divisible(f: Sequence, bound: int) -> ClassificationReport:
     of 1 nothing is read.
     """
     eff, reduced, note = _capped(f, bound)
-    spf = Sieve(eff).spf
+    spf = smallest_prime_factors(eff)
     t = f._terms
     if eff > 1:
         t[1]  # f(1) is read before f(2), as by every scan
@@ -596,25 +596,22 @@ def divisor_product_profile(f: Sequence, bound: int,
         return DivisorProductProfile(eff, False,
                                      {"reason": "not a divisor-product",
                                       **(dp.witness or {})})
-    g = [q.numerator for q in inverted]
-    sieve = Sieve(eff)
-
-    mult_witness = None
+    g = [None, *(q.numerator for q in inverted)]  # g[n] is g(n)
+    spf = smallest_prime_factors(eff)
+    # a multiplicative violation is a homomorphic one too, so the pass keeps
+    # the first homomorphic witness and stops at the multiplicative one
+    mult_witness = homo_witness = None
     for n in range(2, eff + 1):
-        if sieve.prime_power_base(n) is None and g[n - 1] != 1:
-            mult_witness = {"n": n, "g": g[n - 1]}
-            break
-
-    homo_witness = None
-    for n in range(2, eff + 1):
-        p = sieve.prime_power_base(n)
-        if p is None:
-            if g[n - 1] != 1:
-                homo_witness = {"n": n, "g": g[n - 1]}
+        p, m = spf[n], n  # n is a power of p when m ends at 1
+        while m % p == 0:
+            m //= p
+        if m > 1:
+            if g[n] != 1:
+                mult_witness = {"n": n, "g": g[n]}
+                homo_witness = homo_witness or {"n": n, "g": g[n]}
                 break
-        elif n != p and g[n - 1] != g[p - 1]:
-            homo_witness = {"n": n, "g": g[n - 1], "g_p": g[p - 1]}
-            break
+        elif homo_witness is None and n != p and g[n] != g[p]:
+            homo_witness = {"n": n, "g": g[n], "g_p": g[p]}
 
     names = ("multiplicative", "homomorphic", "gcd_sequence")
     direct = battery(f, bound, names, record)
@@ -628,12 +625,12 @@ def divisor_product_profile(f: Sequence, bound: int,
         _report(name, eff, witness) for name, witness in zip(names, witnesses)))
 
 
-def _coprime_pair_witness(g: list[int], eff: int) -> dict | None:
-    # the first pair m < n with m not dividing n and gcd(g(m), g(n)) != 1
+def _coprime_pair_witness(g: list, eff: int) -> dict | None:
+    # the first pair m < n with m not dividing n and gcd(g[m], g[n]) != 1
     for m in range(2, eff + 1):
         for n in range(m + 1, eff + 1):
             if n % m:
-                common = gcd(g[m - 1], g[n - 1])
+                common = gcd(g[m], g[n])
                 if common != 1:
                     return {"m": m, "n": n, "gcd": common}
     return None

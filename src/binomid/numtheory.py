@@ -13,7 +13,7 @@ from math import isqrt
 from . import _EXPORTS
 from .errors import InternalCheckError
 
-__all__ = [*_EXPORTS["numtheory"], "Sieve"]
+__all__ = [*_EXPORTS["numtheory"], "mobius_table", "smallest_prime_factors"]
 
 
 def _check_positive(n: int) -> None:
@@ -68,10 +68,6 @@ def _factorization(n: int) -> list[tuple[int, int]]:
     return out
 
 
-def _prime_power_base_of(factors: list[tuple[int, int]]) -> int | None:
-    return factors[0][0] if len(factors) == 1 else None
-
-
 def divisors(n: int) -> list[int]:
     """The positive divisors of n, in increasing order."""
     _check_positive(n)
@@ -120,63 +116,36 @@ def valuation(p: int, n: int) -> int:
 def prime_power_base(n: int) -> int | None:
     """p when n = p**k for some k >= 1, else None (and None for n = 1)."""
     _check_positive(n)
-    return _prime_power_base_of(_factorization(n))
+    factors = _factorization(n)
+    return factors[0][0] if len(factors) == 1 else None
 
 
-class Sieve:
-    """Smallest-prime-factor and Mobius tables for 1..limit, built once.
+def smallest_prime_factors(limit: int) -> list[int]:
+    """`spf[n]` is the smallest prime factor of each 2 <= n <= limit.
 
-    `spf[n]` is the smallest prime factor of n >= 2 and `mu[n]` the Mobius
-    function of n >= 1; `mu` is built from `spf` on first use. Building
-    takes O(limit log log limit) steps and O(limit) memory. After that
-    every n up to the limit factors in O(log n) table lookups, so a scan
-    over 1..limit pays for its arithmetic once, not once per index. The
-    methods answer exactly as the functions of the same name.
+    spf[0] = 0 and spf[1] = 1. It takes O(limit log log limit) steps and
+    O(limit) memory, after which each n factors in O(log n) lookups.
     """
+    if limit < 0:
+        raise ValueError("limit must be nonnegative")
+    spf = list(range(limit + 1))
+    # largest prime first, so each multiple keeps its smallest prime
+    for p in reversed(primes_up_to(isqrt(limit))):
+        spf[p * p::p] = [p] * len(range(p * p, limit + 1, p))
+    return spf
 
-    __slots__ = ("limit", "spf", "_mu")
 
-    def __init__(self, limit: int):
-        if limit < 0:
-            raise ValueError("limit must be nonnegative")
-        self.limit = limit
-        spf = list(range(limit + 1))
-        # largest prime first, so each multiple keeps its smallest prime
-        for p in reversed(primes_up_to(isqrt(limit))):
-            spf[p * p::p] = [p] * len(range(p * p, limit + 1, p))
-        self.spf = spf
-        self._mu = None
-
-    @property
-    def mu(self) -> list[int]:
-        if self._mu is None:
-            spf = self.spf
-            mu = [0] * (self.limit + 1)
-            if self.limit:
-                mu[1] = 1
-            for n in range(2, self.limit + 1):
-                p = spf[n]
-                m = n // p
-                mu[n] = 0 if m % p == 0 else -mu[m]
-            self._mu = mu
-        return self._mu
-
-    def factorization(self, n: int) -> list[tuple[int, int]]:
-        """(prime, exponent) pairs of n, primes ascending."""
-        if not 1 <= n <= self.limit:
-            raise ValueError(f"{n} is outside the sieve's range 1..{self.limit}")
-        out = []
-        while n > 1:
-            p = self.spf[n]
-            e = 0
-            while n % p == 0:
-                n //= p
-                e += 1
-            out.append((p, e))
-        return out
-
-    def prime_power_base(self, n: int) -> int | None:
-        return _prime_power_base_of(self.factorization(n))
+def mobius_table(limit: int) -> list[int]:
+    """`mu[n]` is the Mobius function of each 1 <= n <= limit; mu[0] = 0."""
+    spf = smallest_prime_factors(limit)
+    mu = [0] * (limit + 1)
+    if limit:
+        mu[1] = 1
+    for n in range(2, limit + 1):
+        p = spf[n]
+        m = n // p
+        mu[n] = 0 if m % p == 0 else -mu[m]
+    return mu
 
 
 @dataclass(frozen=True)

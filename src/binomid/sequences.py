@@ -62,14 +62,13 @@ class Sequence:
     term store (`_Terms`).
     """
 
-    __slots__ = ("name", "length", "_rule", "_terms", "__weakref__")
+    __slots__ = ("name", "length", "_terms", "__weakref__")
 
     def __init__(self, name: str, rule: Callable[[int], int], length: int | None = None):
         if length is not None and length < 0:
             raise ValueError("length must be nonnegative")
         self.name = name
         self.length = length
-        self._rule = rule
         self._terms = _Terms(name, rule, length)
 
     def __repr__(self) -> str:

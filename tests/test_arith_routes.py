@@ -1,11 +1,11 @@
 """Differential and liveness tests for the sieve tables, the sieve-backed
-inversion, the certified gcd and divisibility scans, and the
-prefix-extending Lucas rule.
+inversion, the certified gcd and divisibility scans, the profile's single
+pass over g, and the prefix-extending Lucas rule.
 
 The trial-division helpers below are the number-theory code the sieve
-replaced in the scans, and the pair scans below are the routes the
-lattice certificates replaced on passing inputs; both are kept here as
-oracles.
+replaced in the scans, the pair scans below are the routes the lattice
+certificates replaced on passing inputs, and the two-loop profile is the
+route the single pass replaced; all are kept here as oracles.
 """
 
 import random
@@ -21,7 +21,7 @@ from binomid import (InternalCheckError, Sequence, ZeroTermError, classify,
                      from_list, g_ab, identity_seq, lucas, mobius,
                      mobius_invert, prime_power_base, triangular_seq)
 from binomid.cli import main, parse_seqspec
-from binomid.numtheory import Sieve
+from binomid.numtheory import mobius_table, smallest_prime_factors
 
 LIMIT = 3000
 
@@ -132,24 +132,76 @@ OLD_SCANS = {"gcd_sequence": old_route("gcd_sequence", old_gcd_witness),
              "divisible": old_route("divisible", old_divisible_witness)}
 
 
+def old_divisor_product_profile(f, bound):
+    """The profile before its single pass over g: the multiplicative and
+    homomorphic criteria in two loops over a 0-indexed g, prime-power bases
+    by trial division, and the gcd criterion from every pair of g."""
+    eff, _, _ = classify._capped(f, bound)
+    if f.term(1) != 1:
+        return classify.DivisorProductProfile(
+            eff, False, {"reason": "first term is not 1", "value": f.term(1)})
+    dp = classify.is_divisor_product(f, eff)
+    if not dp.holds():
+        return classify.DivisorProductProfile(
+            eff, False, {"reason": "not a divisor-product", **(dp.witness or {})})
+    g = [q.numerator for q in old_mobius_invert(f.prefix(eff))]
+
+    mult_witness = None
+    for n in range(2, eff + 1):
+        if prime_power_base(n) is None and g[n - 1] != 1:
+            mult_witness = {"n": n, "g": g[n - 1]}
+            break
+
+    homo_witness = None
+    for n in range(2, eff + 1):
+        p = prime_power_base(n)
+        if p is None:
+            if g[n - 1] != 1:
+                homo_witness = {"n": n, "g": g[n - 1]}
+                break
+        elif n != p and g[n - 1] != g[p - 1]:
+            homo_witness = {"n": n, "g": g[n - 1], "g_p": g[p - 1]}
+            break
+
+    names = ("multiplicative", "homomorphic", "gcd_sequence")
+    direct = [getattr(classify, f"is_{name}")(f, bound) for name in names]
+    witnesses = (mult_witness, homo_witness,
+                 None if direct[2].holds() else old_profile_gcd_witness(g, eff))
+    for name, witness, rep in zip(names, witnesses, direct):
+        if (witness is None) != rep.holds():
+            raise InternalCheckError(
+                f"profile criterion {name} disagrees with the direct classifier")
+    return classify.DivisorProductProfile(eff, True, None, tuple(
+        classify._report(name, eff, witness) for name, witness in zip(names, witnesses)))
+
+
 @pytest.fixture(scope="module")
-def sieve():
-    return Sieve(LIMIT)
+def spf():
+    return smallest_prime_factors(LIMIT)
 
 
-# -- the sieve against the trial-division oracle ------------------------------
+@pytest.fixture(scope="module")
+def mu():
+    return mobius_table(LIMIT)
+
+
+def spf_prime_power_base(spf, n):
+    """The prime-power base as the profile reads it off the spf table."""
+    p, m = spf[n], n
+    while m % p == 0:
+        m //= p
+    return p if m == 1 else None
+
+
+# -- the sieve tables against the trial-division oracle ------------------------
 
 class TestSieveAgainstTrialDivision:
-    def test_factorization(self, sieve):
-        for n in range(1, LIMIT + 1):
-            assert sieve.factorization(n) == trial_factorization(n)
+    def test_mobius_table(self, mu):
+        assert mu[1:] == [trial_mobius(n) for n in range(1, LIMIT + 1)]
 
-    def test_mobius_table(self, sieve):
-        assert sieve.mu[1:] == [trial_mobius(n) for n in range(1, LIMIT + 1)]
-
-    def test_prime_power_base(self, sieve):
-        for n in range(1, LIMIT + 1):
-            assert sieve.prime_power_base(n) == trial_prime_power_base(n)
+    def test_prime_power_base(self, spf):
+        for n in range(2, LIMIT + 1):
+            assert spf_prime_power_base(spf, n) == trial_prime_power_base(n)
 
     def test_public_functions_match_too(self):
         for n in range(1, LIMIT + 1):
@@ -158,29 +210,23 @@ class TestSieveAgainstTrialDivision:
             assert euler_phi(n) == trial_euler_phi(n)
             assert prime_power_base(n) == trial_prime_power_base(n)
 
-    def test_smallest_prime_factor_table(self, sieve):
-        assert sieve.spf[:13] == [0, 1, 2, 3, 2, 5, 2, 7, 2, 3, 2, 11, 2]
+    def test_smallest_prime_factor_table(self, spf):
+        assert spf[:13] == [0, 1, 2, 3, 2, 5, 2, 7, 2, 3, 2, 11, 2]
         for n in range(2, LIMIT + 1):
-            assert sieve.spf[n] == trial_factorization(n)[0][0]
+            assert spf[n] == trial_factorization(n)[0][0]
 
     @pytest.mark.parametrize("limit", [0, 1, 2, 3, 4, 9, 25, 26])
     def test_small_limits(self, limit):
-        small = Sieve(limit)
-        assert len(small.spf) == len(small.mu) == limit + 1
-        assert small.mu[1:] == [trial_mobius(n) for n in range(1, limit + 1)]
-        for n in range(1, limit + 1):
-            assert small.factorization(n) == trial_factorization(n)
-
-    @pytest.mark.parametrize("n", [0, -1, 31])
-    def test_rejects_indices_outside_the_table(self, n):
-        small = Sieve(30)
-        for method in (small.factorization, small.prime_power_base):
-            with pytest.raises(ValueError):
-                method(n)
+        spf, mu = smallest_prime_factors(limit), mobius_table(limit)
+        assert len(spf) == len(mu) == limit + 1
+        assert mu[1:] == [trial_mobius(n) for n in range(1, limit + 1)]
+        for n in range(2, limit + 1):
+            assert spf[n] == trial_factorization(n)[0][0]
 
     def test_rejects_negative_limit(self):
-        with pytest.raises(ValueError):
-            Sieve(-1)
+        for table in (smallest_prime_factors, mobius_table):
+            with pytest.raises(ValueError):
+                table(-1)
 
 
 # -- sympy cross-checks (tests only; skipped where sympy is missing) -----------
@@ -190,14 +236,15 @@ class TestAgainstSympy:
     def sympy(self):
         return pytest.importorskip("sympy", minversion="1.13")
 
-    def test_mobius_factorization_and_prime_powers(self, sieve, sympy):
+    def test_mobius_factorization_and_prime_powers(self, spf, mu, sympy):
         from sympy.functions.combinatorial.numbers import mobius as sym_mobius
         for n in range(1, 1201):
-            assert sieve.mu[n] == int(sym_mobius(n))
+            assert mu[n] == int(sym_mobius(n))
             factors = sympy.factorint(n)
-            assert sieve.factorization(n) == sorted(factors.items())
+            if n > 1:
+                assert spf[n] == min(factors)
             expected = next(iter(factors)) if len(factors) == 1 else None
-            assert sieve.prime_power_base(n) == expected
+            assert prime_power_base(n) == expected
 
     def test_fibonacci(self, sympy):
         assert fibonacci().prefix(600) == [int(sympy.fibonacci(n))
@@ -247,6 +294,51 @@ def scan_inputs(draw):
         values = draw(st.lists(term, min_size=1, max_size=40))
     bound = draw(st.integers(1, len(values) + 4))
     return values, bound, draw(st.booleans())
+
+
+PROFILE_VALUES = [-1, *range(1, 10)]
+
+
+def _draw_other(draw, avoid):
+    return draw(st.sampled_from([v for v in PROFILE_VALUES if v != avoid]))
+
+
+@st.composite
+def profile_inputs(draw):
+    """(g, bound) for a profile of P(g), g(n) in {-1, 1, ..., 9}: a free
+    draw, or g forced multiplicative or homomorphic, or a homomorphic g
+    with a violation at a non-prime-power N and one at a prime power p**k,
+    k >= 2, before N, after N or nowhere (the homomorphic witness is then
+    at N). The bound may pass the end of g."""
+    length = draw(st.integers(1, 60))
+    bound = draw(st.one_of(st.just(length), st.integers(1, 60)))
+    kind = draw(st.sampled_from(["free", "multiplicative", "homomorphic", "violations"]))
+    value = st.sampled_from(PROFILE_VALUES)
+    if kind == "free":
+        g = [draw(st.sampled_from([1, 1, 1, -1, 2])),
+             *draw(st.lists(value, min_size=length - 1, max_size=length - 1))]
+        return g, bound
+    g = [1] * length
+    for n in range(2, length + 1):
+        p = prime_power_base(n)
+        if p == n or (p is not None and kind == "multiplicative"):
+            g[n - 1] = draw(value)
+        elif p is not None:
+            g[n - 1] = g[p - 1]
+    non_powers = [n for n in range(2, length + 1) if prime_power_base(n) is None]
+    if kind == "violations" and non_powers:
+        first = draw(st.sampled_from(non_powers))
+        g[first - 1] = _draw_other(draw, 1)
+        where = draw(st.sampled_from(["before", "at", "after"]))
+        powers = [n for n in range(4, length + 1) if prime_power_base(n) not in (None, n)
+                  and (n < first if where == "before" else n > first)]
+        if where != "at" and powers:
+            q = draw(st.sampled_from(powers))
+            g[q - 1] = _draw_other(draw, g[prime_power_base(q) - 1])
+        for n in non_powers:  # later non-prime-power violations, if any
+            if n > first and draw(st.booleans()):
+                g[n - 1] = draw(value)
+    return g, bound
 
 
 def drawn_sequence(values, calls, wrap):
@@ -351,6 +443,14 @@ class TestScansAgainstOldRoutes:
                     triangular_seq(), divisor_product_of(identity_seq())):
             seq.prefix(150)
             assert classify.is_gcd_sequence(seq, 150) == OLD_SCANS["gcd_sequence"](seq, 150)
+
+    @given(profile_inputs())
+    @settings(max_examples=400, deadline=None)
+    def test_profile_matches_old_route(self, drawn):
+        g, bound = drawn
+        f = divisor_product_of(from_list(g))
+        assert outcome(classify.divisor_product_profile, f, bound) == outcome(
+            old_divisor_product_profile, divisor_product_of(from_list(g)), bound)
 
 
 # -- the certificates prove passes on their own -------------------------------
@@ -595,7 +695,7 @@ class TestLucasPrefixCache:
 
     def test_each_term_is_computed_once(self):
         calls = []
-        rule = lucas(3, 2)._rule
+        rule = lucas(3, 2)._terms._rule
 
         def counted(n):
             calls.append(n)

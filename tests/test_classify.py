@@ -911,7 +911,7 @@ class TestScansKeepNoCycle:
     def test_divisor_product_and_its_sieve_are_freed(self):
         g = identity_seq()
         f = divisor_product_of(g)
-        refs = [weakref.ref(g), weakref.ref(f), weakref.ref(f._rule)]
+        refs = [weakref.ref(g), weakref.ref(f), weakref.ref(f._terms._rule)]
         full_battery(f, 24)
         f.term(300)  # a late term, past every index the battery read
         del f, g
