@@ -17,7 +17,7 @@ from math import gcd
 from . import _EXPORTS
 from .core import _rows, col_seq, pyramid, triangle
 from .errors import InternalCheckError, NonIntegralEntryError
-from .numtheory import divisors, mobius_table, primes_up_to, smallest_prime_factors
+from .numtheory import divisors, primes_up_to, smallest_prime_factors
 from .sequences import Sequence
 
 HOLDS = "holds_to_bound"
@@ -192,10 +192,15 @@ def _check_slices_match_columns(f: Sequence, pyr) -> None:
 def mobius_invert(f: Sequence, count: int) -> list[Fraction]:
     """The unique g with f = divisor-product of g, as exact rationals.
 
-    g(n) is the product of f(d)**mu(n/d) over divisors d of n. The exact
-    round trip back to f is verified before returning, on plain integers:
-    over the divisors d of n, the numerators of g(d) multiply to f(n) times
-    the product of their denominators.
+    g(n) is the product of f(d)**mu(n/d) over divisors d of n. By the
+    Euler product mu = prod over primes p of (1 - [x p]), that is f with
+    each prime divided out in turn: for each p <= count, h(n) becomes
+    h(n) / h(n/p) at every multiple n of p, starting from h = f, and after
+    the last prime h = g. Each pass walks the multiples downward, so h(n/p)
+    is still that pass's input when h(n) is divided by it. The exact round
+    trip back to f is verified before returning, on plain integers: over
+    the divisors d of n, the numerators of g(d) multiply to f(n) times the
+    product of their denominators.
     """
     if count < 1:
         raise ValueError("count must be positive")
@@ -215,18 +220,16 @@ def mobius_invert(f: Sequence, count: int) -> list[Fraction]:
 
 
 def _mobius_quotients(values: list[int]) -> list[Fraction]:
-    # each f(d) goes to the multiples n = d*j with j squarefree, into the
-    # numerator of g(n) when mu(j) = 1 and the denominator when mu(j) = -1
+    # h(n) is the pair num[n] / den[n], kept unreduced and made an integer
+    # again whenever a division comes out exact
     count = len(values)
-    mu = mobius_table(count)
-    num = [1] * (count + 1)
+    num = [1, *values]
     den = [1] * (count + 1)
-    for d, value in enumerate(values, start=1):
-        for j in range(1, count // d + 1):
-            if mu[j] == 1:
-                num[d * j] *= value
-            elif mu[j] == -1:
-                den[d * j] *= value
+    for p in primes_up_to(count):
+        for n in range(count - count % p, 0, -p):
+            a, b = num[n] * den[n // p], den[n] * num[n // p]
+            q, r = divmod(a, b)
+            num[n], den[n] = (a, b) if r else (q, 1)
     return [_quotient(num[n], den[n]) for n in range(1, count + 1)]
 
 

@@ -13,7 +13,7 @@ from math import isqrt
 from . import _EXPORTS
 from .errors import InternalCheckError
 
-__all__ = [*_EXPORTS["numtheory"], "mobius_table", "smallest_prime_factors"]
+__all__ = [*_EXPORTS["numtheory"], "smallest_prime_factors"]
 
 
 def _check_positive(n: int) -> None:
@@ -133,19 +133,6 @@ def smallest_prime_factors(limit: int) -> list[int]:
     for p in reversed(primes_up_to(isqrt(limit))):
         spf[p * p::p] = [p] * len(range(p * p, limit + 1, p))
     return spf
-
-
-def mobius_table(limit: int) -> list[int]:
-    """`mu[n]` is the Mobius function of each 1 <= n <= limit; mu[0] = 0."""
-    spf = smallest_prime_factors(limit)
-    mu = [0] * (limit + 1)
-    if limit:
-        mu[1] = 1
-    for n in range(2, limit + 1):
-        p = spf[n]
-        m = n // p
-        mu[n] = 0 if m % p == 0 else -mu[m]
-    return mu
 
 
 @dataclass(frozen=True)

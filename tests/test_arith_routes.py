@@ -1,6 +1,6 @@
-"""Differential and liveness tests for the sieve tables, the sieve-backed
-inversion, the certified gcd and divisibility scans, the profile's single
-pass over g, and the prefix-extending Lucas rule.
+"""Differential and liveness tests for the smallest-prime-factor table,
+the prime-by-prime inversion, the certified gcd and divisibility scans,
+the profile's single pass over g, and the prefix-extending Lucas rule.
 
 The trial-division helpers below are the number-theory code the sieve
 replaced in the scans, the pair scans below are the routes the lattice
@@ -19,9 +19,9 @@ from hypothesis import strategies as st
 from binomid import (InternalCheckError, Sequence, ZeroTermError, classify,
                      divisor_product_of, divisors, euler_phi, fibonacci,
                      from_list, g_ab, identity_seq, lucas, mobius,
-                     mobius_invert, prime_power_base, triangular_seq)
+                     mobius_invert, numtheory, prime_power_base, triangular_seq)
 from binomid.cli import main, parse_seqspec
-from binomid.numtheory import mobius_table, smallest_prime_factors
+from binomid.numtheory import smallest_prime_factors
 
 LIMIT = 3000
 
@@ -180,11 +180,6 @@ def spf():
     return smallest_prime_factors(LIMIT)
 
 
-@pytest.fixture(scope="module")
-def mu():
-    return mobius_table(LIMIT)
-
-
 def spf_prime_power_base(spf, n):
     """The prime-power base as the profile reads it off the spf table."""
     p, m = spf[n], n
@@ -193,12 +188,9 @@ def spf_prime_power_base(spf, n):
     return p if m == 1 else None
 
 
-# -- the sieve tables against the trial-division oracle ------------------------
+# -- the spf table against the trial-division oracle ---------------------------
 
 class TestSieveAgainstTrialDivision:
-    def test_mobius_table(self, mu):
-        assert mu[1:] == [trial_mobius(n) for n in range(1, LIMIT + 1)]
-
     def test_prime_power_base(self, spf):
         for n in range(2, LIMIT + 1):
             assert spf_prime_power_base(spf, n) == trial_prime_power_base(n)
@@ -217,16 +209,14 @@ class TestSieveAgainstTrialDivision:
 
     @pytest.mark.parametrize("limit", [0, 1, 2, 3, 4, 9, 25, 26])
     def test_small_limits(self, limit):
-        spf, mu = smallest_prime_factors(limit), mobius_table(limit)
-        assert len(spf) == len(mu) == limit + 1
-        assert mu[1:] == [trial_mobius(n) for n in range(1, limit + 1)]
+        spf = smallest_prime_factors(limit)
+        assert len(spf) == limit + 1
         for n in range(2, limit + 1):
             assert spf[n] == trial_factorization(n)[0][0]
 
     def test_rejects_negative_limit(self):
-        for table in (smallest_prime_factors, mobius_table):
-            with pytest.raises(ValueError):
-                table(-1)
+        with pytest.raises(ValueError):
+            smallest_prime_factors(-1)
 
 
 # -- sympy cross-checks (tests only; skipped where sympy is missing) -----------
@@ -236,10 +226,10 @@ class TestAgainstSympy:
     def sympy(self):
         return pytest.importorskip("sympy", minversion="1.13")
 
-    def test_mobius_factorization_and_prime_powers(self, spf, mu, sympy):
+    def test_mobius_factorization_and_prime_powers(self, spf, sympy):
         from sympy.functions.combinatorial.numbers import mobius as sym_mobius
         for n in range(1, 1201):
-            assert mu[n] == int(sym_mobius(n))
+            assert mobius(n) == int(sym_mobius(n))
             factors = sympy.factorint(n)
             if n > 1:
                 assert spf[n] == min(factors)
@@ -256,6 +246,21 @@ class TestAgainstSympy:
         for n in range(1, 121):
             coeffs = sympy.Poly(sympy.cyclotomic_poly(n, x), x).all_coeffs()
             assert cyclotomic(n).coeffs == tuple(int(c) for c in reversed(coeffs))
+
+    @pytest.mark.parametrize("spec, count", [("T", 1000), ("gq:2", 1000),
+                                             ("P(T)", 600), ("lucas:1,-2", 400)])
+    def test_mobius_invert_is_the_divisor_sum_of_mu(self, sympy, spec, count):
+        # g(n) is the product of f(d)**mu(n/d) over the divisors d of n
+        from sympy.functions.combinatorial.numbers import mobius as sym_mobius
+        f = parse_seqspec(spec).build()
+        values = f.prefix(count)
+        expected = []
+        for n in range(1, count + 1):
+            g = Fraction(1)
+            for d in sympy.divisors(n):
+                g *= Fraction(values[d - 1]) ** int(sym_mobius(n // d))
+            expected.append(g)
+        assert mobius_invert(f, count) == expected
 
 
 # -- sieve-backed and certified scans against the old routes ------------------
@@ -529,6 +534,32 @@ class TestRoundTripLiveness:
         assert captured.out == ""
         assert captured.err == ("error: internal check failed: "
                                 "inversion round trip failed at index 6\n")
+
+
+# -- the inversion builds no table ---------------------------------------------
+
+def _patch_spf(monkeypatch, replacement):
+    for module in (numtheory, classify):
+        monkeypatch.setattr(module, "smallest_prime_factors", replacement)
+
+
+class TestInversionBuildsNoTable:
+    def test_inversion_needs_no_spf_table(self, monkeypatch):
+        _patch_spf(monkeypatch, lambda limit: pytest.fail("built an spf table"))
+        assert mobius_invert(parse_seqspec("P(I)").build(), 300) == list(range(1, 301))
+
+    def test_profile_run_builds_one_spf_table(self, monkeypatch, capsys):
+        calls = []
+        original = numtheory.smallest_prime_factors
+
+        def counted(limit):
+            calls.append(limit)
+            return original(limit)
+
+        _patch_spf(monkeypatch, counted)
+        assert main(["classify", "P(I)", "--bound", "300", "--profile"]) == 1
+        assert "profile gcd_sequence: fails" in capsys.readouterr().out
+        assert calls == [300]
 
 
 # -- the profile inverts once --------------------------------------------------

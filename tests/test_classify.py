@@ -102,6 +102,13 @@ class TestAtLevel:
         assert is_binomid(two_pow_a, 8).verdict == FAILS
         assert is_binomid_at_level(two_pow_a, 2, 8).holds()
 
+    def test_non_integral_column_entry_is_the_witness(self):
+        # column 2 of the triangle of 1, 2, 3, 4, 5, 7 reaches [6 2] = 7*5/2
+        rep = is_binomid_at_level(from_list([1, 2, 3, 4, 5, 7]), 2, 5)
+        assert (rep.property, rep.verdict) == ("binomid_at_level(2)", FAILS)
+        assert rep.witness == {"level": 2, "n": 6, "k": 2, "value": Fraction(35, 2)}
+        assert rep.note == "column entry is not an integer"
+
 
 class TestEveryLevel:
     def test_pascal(self):
@@ -124,6 +131,19 @@ class TestEveryLevel:
     def test_requires_unit_first_term(self):
         with pytest.raises(ValueError):
             is_binomid_every_level(power_seq(2), 4, 6)
+
+    def test_non_integral_pyramid_slice_is_the_witness(self):
+        # T's triangle is integral, but slice 5 of its pyramid is not
+        rep = is_binomid_every_level(triangular_seq(), 5, 20)
+        assert rep.verdict == FAILS
+        assert rep.witness == {"slice": 5, "n": 4, "k": 2, "value": Fraction(500, 3)}
+        assert rep.note is None
+
+    def test_non_integral_column_entry_is_the_witness(self):
+        rep = is_binomid_every_level(from_list([1, 2, 3, 4, 5, 7]), 2, 5)
+        assert rep.verdict == FAILS
+        assert rep.witness == {"level": 2, "n": 6, "k": 2, "value": Fraction(35, 2)}
+        assert rep.note == "column entry is not an integer"
 
 
 def _bump_slice_entry(pyr, s, n, k):
