@@ -60,19 +60,91 @@ def _report(prop: str, bound: int, witness: dict | None, reduced: int | None = N
                                 witness, reduced, note)
 
 
-def _certified(t: list[int], n: int) -> bool:
+def _certified(t: list[int], n: int, residuals: _Residuals | None = None) -> bool:
     """The dual-gcd step: is row n integral whenever row n-1 is?
 
     `t[i]` is f(i). With g = gcd(f(k), f(n-k)) = u f(k) + v f(n-k), the
     identities [n k] f(k) = [n-1 k-1] f(n) and [n k] f(n-k) = [n-1 k] f(n)
     give [n k] g = f(n) (u [n-1 k-1] + v [n-1 k]). So if g divides f(n)
     for every 1 <= k <= n/2, an integral row n-1 makes row n integral.
+    Given `residuals`, a k where g does not divide f(n) is decided by the
+    residual step on r_k = g / gcd(g, f(n)) (`_Residuals.certify`).
     """
     f_n = t[n]
     for k in range(1, n // 2 + 1):
-        if f_n % gcd(t[k], t[n - k]):
+        g = gcd(t[k], t[n - k])
+        if f_n % g and (residuals is None
+                        or not residuals.certify(n, k, g // gcd(g, f_n))):
             return False
     return True
+
+
+_PRIME_CAP = 1000  # the residual step factors residuals by the primes up to this
+
+
+class _Residuals:
+    """The residual step of one `is_binomid` call over `t[i]` = f(i): the
+    primes of each residual, and the partial sums S_p of v_p(f(i)).
+    """
+
+    primes = None  # the primes up to the cap, listed on first use and kept
+
+    def __init__(self, t: list[int]):
+        self.t = t
+        self.sums = {}  # p -> [S_p(0), S_p(1), ...], in the order the primes are seen
+        self.factors = {}  # residual -> its primes, or None when they are not found
+
+    def certify(self, n: int, k: int, r: int) -> bool:
+        """Is [n k] an integer, given that row n-1 is and r = r_k?"""
+        primes = self.factors[r] if r in self.factors else self._factor(r)
+        if primes is None:
+            return False
+        for p in primes:
+            s = self.sums.get(p)
+            if s is None or len(s) <= n:
+                s = self._sums(p, n)
+            if s[n] < s[k] + s[n - k]:
+                return False
+        return True
+
+    def _factor(self, r: int) -> list[int] | None:
+        key, found = r, []
+        for p in self.sums:
+            if r % p == 0:
+                found.append(p)
+                r //= p
+                while r % p == 0:
+                    r //= p
+        if _Residuals.primes is None:
+            _Residuals.primes = primes_up_to(_PRIME_CAP)
+        for p in _Residuals.primes:
+            if p * p > r:
+                # every prime below p is divided out, so what is left is 1 or a prime
+                if r > 1:
+                    found.append(r)
+                break
+            if r % p == 0:
+                found.append(p)
+                r //= p
+                while r % p == 0:
+                    r //= p
+        else:
+            if r > 1:
+                found = None  # r has no prime factor up to the cap and may not be prime
+        self.factors[key] = found
+        return found
+
+    def _sums(self, p: int, n: int) -> list[int]:
+        # S_p extended to S_p(n); rows come in ascending order, so each
+        # v_p(f(i)) is taken once
+        sums = self.sums.setdefault(p, [0])
+        total = sums[-1]
+        for v in self.t[len(sums):n + 1]:
+            while v % p == 0:
+                v //= p
+                total += 1
+            sums.append(total)
+        return sums
 
 
 def is_binomid(f: Sequence, bound: int) -> ClassificationReport:
@@ -80,11 +152,28 @@ def is_binomid(f: Sequence, bound: int) -> ClassificationReport:
 
     Rows 0 and 1 are integral, and each row n that passes the dual-gcd
     step (`_certified`) is integral if row n-1 is, so it is not built.
-    The triangle's row kernel builds each row the step rejects, and also
+    While no kernel row is at hand, a k that the dual-gcd step rejects
+    goes to the residual step (`_Residuals`). With g = gcd(f(k), f(n-k)),
+    [n k] g = f(n) (u [n-1 k-1] + v [n-1 k]), so when row n-1 is integral
+    the denominator of [n k] divides the residual r_k = g / gcd(g, f(n)),
+    and only a prime of r_k can keep [n k] from being an integer. For a
+    prime p, v_p([n k]) = S_p(n) - S_p(k) - S_p(n-k), where S_p(m) is the
+    sum of v_p(f(i)) over i <= m: the paper's additive criterion, and how
+    Knuth and Wilf count the power of p in [n k] (J. reine angew. Math.
+    396, 1989). So [n k] is an integer exactly when S_p(n) >= S_p(k) +
+    S_p(n-k) for every prime p of r_k. The primes come from trial division
+    by the primes up to `_PRIME_CAP`, which stops once p * p exceeds what
+    is left, so that what is left is 1 or a prime; a residual not factored
+    by then fails the step. A row whose every k passes one of the two
+    steps is integral if row n-1 is.
+
+    The triangle's row kernel builds each row the steps reject, and also
     row n-1 when that row was certified, which must then hold only ints.
+    Once a row is built, the rows after it that the dual-gcd step rejects
+    are built too, with no residual step: their row n-1 is at hand.
     By induction on n the first built row with a non-integral entry is
     the first non-integral row, and the witness is the first entry of its
-    half that is not an int. Every row the step rejects is checked
+    half that is not an int. Every row the steps reject is checked
     against the kernel's row n-1 by the identity the definition gives
     between adjacent rows, [n k] f(n-k) = [n-1 k] f(n) for 1 <= k <= n/2,
     with [n 0] = 1 and the row equal to its own reverse; these fix every
@@ -97,10 +186,11 @@ def is_binomid(f: Sequence, bound: int) -> ClassificationReport:
     eff, reduced, note = _capped(f, bound)
     terms = f.prefix(eff)
     t = [1, *terms]
+    residuals = _Residuals(t)
     witness = None
-    rows = None  # the kernel's rows from n-1 on, while the step rejects each row
+    rows = None  # the kernel's rows from n-1 on, while the steps reject each row
     for n in range(eff + 1):
-        if _certified(t, n):
+        if _certified(t, n, residuals if rows is None else None):
             rows = None
             continue
         if rows is None:

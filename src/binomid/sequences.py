@@ -14,7 +14,6 @@ from typing import Callable
 
 from . import _EXPORTS
 from .errors import UndefinedTermError, ZeroTermError
-from .numtheory import divisors
 
 __all__ = [*_EXPORTS["sequences"]]
 
@@ -186,6 +185,7 @@ def fibonacci() -> Sequence:
 
 def divisor_product_of(g: Sequence) -> Sequence:
     """Term n is the product of g over all divisors of n, read ascending."""
+    from .numtheory import divisors  # only divisor products need numtheory
 
     def rule(n: int) -> int:
         total = 1

@@ -16,14 +16,14 @@ witness; that route is kept as the oracle of the step.
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import Phase, find, given, settings
 from hypothesis import strategies as st
 
 import binomid.classify
 import binomid.core
 from binomid import (InternalCheckError, NonIntegralEntryError, Sequence,
                      divisor_product_of, fbinom, fibonacci, from_list,
-                     is_binomid, row_seq, triangle, triangular_seq)
+                     is_binomid, per_prime_decomposition, row_seq, triangle)
 from binomid.cli import main, parse_seqspec
 
 nonzero = st.integers(-40, 40).filter(lambda v: v != 0)
@@ -197,36 +197,108 @@ def all_rows_is_binomid(f, bound):
     return binomid.classify._report("binomid", bound, witness, reduced, note)
 
 
+# terms over the primes 2, 3 and 5 times one of 1009 (a prime past the
+# residual step's cap that trial division still proves prime), 1009 * 1013
+# and 1000003 (neither factored below the cap): their rows reach the dual-gcd
+# step, the residual step and the kernel behind a residual that does not factor
+past_cap_terms = st.builds(
+    lambda e2, e3, e5, big, sign: sign * 2 ** e2 * 3 ** e3 * 5 ** e5 * big,
+    st.integers(0, 3), st.integers(0, 2), st.integers(0, 1),
+    st.sampled_from([1, 1, 1, 1009, 1009 * 1013, 1000003]), st.sampled_from([1, -1]))
+
 # signed lists, with zero terms that surface only when prefix reads them
 step_lists = st.one_of(
     st.lists(st.sampled_from([1, -1, 2, -2, 3, 4, -6]), min_size=1, max_size=14),
     st.lists(st.one_of(nonzero, st.sampled_from([1, -1, 0])), min_size=1, max_size=14),
     st.builds(lambda base, sign, size: [s * v for s, v in zip(sign, base)][:size],
               integral_bases, signs, st.integers(1, 14)),
+    st.lists(past_cap_terms, min_size=1, max_size=14),
+    st.lists(past_cap_terms, max_size=13).map(lambda rest: [1, *rest]),
 )
+# a list, whether is_binomid reads it through P(...), and a bound that may
+# run past its length
+step_inputs = st.tuples(step_lists, st.booleans(), st.integers(1, 18))
+
+
+def step_sequence(values, divisor_product):
+    f = Sequence("s", lambda n: values[n - 1], length=len(values))
+    return divisor_product_of(f) if divisor_product else f
+
+
+def routes_taken(values, divisor_product, bound):
+    """The routes that decide is_binomid's rows over the list: "dual_gcd"
+    for a row n >= 2 that the dual-gcd step certifies alone, "residual" for
+    a row that the residual step certifies, and "unfactored" for a residual
+    that is not factored, which sends its row to the kernel."""
+    taken = set()
+    certified = binomid.classify._certified
+    factor = binomid.classify._Residuals._factor
+
+    def spy_certified(t, n, residuals=None):
+        alone = certified(t, n)
+        if n >= 2 and alone:
+            taken.add("dual_gcd")
+        passed = certified(t, n, residuals)
+        if passed and not alone:
+            taken.add("residual")
+        return passed
+
+    def spy_factor(res, r):
+        primes = factor(res, r)
+        if primes is None:
+            taken.add("unfactored")
+        return primes
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(binomid.classify, "_certified", spy_certified)
+        mp.setattr(binomid.classify._Residuals, "_factor", spy_factor)
+        outcome(lambda: is_binomid(step_sequence(values, divisor_product), bound))
+    return taken
 
 
 class TestStepAgainstAllRows:
-    @settings(max_examples=400, deadline=None)
-    @given(step_lists, st.booleans(), st.integers(1, 18))
-    def test_same_report_or_error(self, values, divisor_product, bound):
-        def fresh():
-            f = Sequence("s", lambda n: values[n - 1], length=len(values))
-            return divisor_product_of(f) if divisor_product else f
+    @settings(max_examples=600, deadline=None)
+    @given(step_inputs)
+    def test_same_report_or_error(self, args):
+        values, divisor_product, bound = args
+        assert (outcome(lambda: is_binomid(step_sequence(values, divisor_product), bound))
+                == outcome(lambda: all_rows_is_binomid(step_sequence(values, divisor_product),
+                                                       bound)))
 
-        assert (outcome(lambda: is_binomid(fresh(), bound))
-                == outcome(lambda: all_rows_is_binomid(fresh(), bound)))
+    @pytest.mark.parametrize("route", ["dual_gcd", "residual", "unfactored"])
+    def test_draws_reach_every_route(self, route):
+        # the differential above is only as good as the routes its draws take
+        find(step_inputs, lambda args: route in routes_taken(*args),
+             settings=settings(max_examples=2000, database=None, phases=[Phase.generate]))
 
     @pytest.mark.parametrize("spec", [
         "I", "fact", "T", "fib", "cpow:3", "gq:2", "gab:5,2", "lucas:3,2",
         "lucas:1,1", "pcol:2", "prow:12", "hm:2", "P(gq:2)", "P(I)",
         "product(fib,gq:2)", "product(I,lucas:3,2)", "scalar(-2,fib)",
         "pow(2,T)", "prepend1(I)", "interleave1(fib)", "double(I)",
-        "col(2,fib)", "col(3,T)", "list:2,1,2,3,4,4"])
+        "col(2,fib)", "col(3,T)", "col(4,gab:3,2)", "P(T)", "P(fib)",
+        "product(T,fib)", "list:2,1,2,3,4,4"])
     def test_families(self, spec):
         build = parse_seqspec(spec).build
         assert (outcome(lambda: is_binomid(build(), 60))
                 == outcome(lambda: all_rows_is_binomid(build(), 60)))
+
+
+class TestPerPrimeAgainstAllRows:
+    # per_prime_decomposition cross-checks its conjunction against the
+    # battery's binomid verdict, which the residual step now reads off the
+    # same valuations; the all-rows route builds every row instead
+    @settings(max_examples=300, deadline=None)
+    @given(st.lists(past_cap_terms, min_size=1, max_size=14), st.booleans(),
+           st.integers(1, 18), st.sampled_from([2, 5, 1009, 1013]))
+    def test_combined_verdict_where_decided(self, values, divisor_product, bound,
+                                            prime_bound):
+        decomposition = per_prime_decomposition(
+            step_sequence(values, divisor_product), bound, prime_bound)
+        if not decomposition.undecided:
+            assert (decomposition.combined_verdict
+                    == all_rows_is_binomid(step_sequence(values, divisor_product),
+                                           bound).verdict)
 
 
 def _corrupt_kernel(monkeypatch, at_n, at_k, delta):
@@ -239,14 +311,39 @@ def _corrupt_kernel(monkeypatch, at_n, at_k, delta):
     monkeypatch.setattr(binomid.core, "_row", corrupted)
 
 
+# two products of two primes past the residual step's cap (1000): trial
+# division up to the cap finds no factor of either, and each is too large to
+# be a prime left over, so a residual made of them sends its row to the kernel
+B2, B3 = 1009 * 1013, 1019 * 1021
+
+
+def t_past_cap(n):
+    """T(n) = n(n+1)/2 with its primes 2 and 3 replaced by B2 and B3."""
+    v, out = n * (n + 1) // 2, 1
+    for p, big in ((2, B2), (3, B3)):
+        while v % p == 0:
+            v //= p
+            out *= big
+    return out * v
+
+
+def triangular_past_cap():
+    # B2 and B3 are coprime to each other and to the other primes of T, so
+    # the rows keep T's entries with 2 and 3 replaced, integral as T's are
+    return Sequence("t_past_cap", t_past_cap)
+
+
 class TestCrossCheckIsLive:
-    # the dual-gcd step certifies every row of fib, I and 1..n, so the kernel
-    # never builds them; over T it rejects rows 4, 6, 7, 8 and 10, and those
-    # rows (with rows 3 and 5 rebuilt to guard them) are the ones corrupted
+    # the dual-gcd step certifies every row of fib, I and 1..n, and the
+    # residual step certifies the rows of T it rejects (their residuals are
+    # 2 and 3), so the kernel builds none of them; over T with 2 and 3
+    # replaced by B2 and B3 the dual-gcd step still rejects rows 4, 6, 7, 8
+    # and 10, no residual factors, and those rows (with rows 3 and 5 rebuilt
+    # to guard them) are the ones corrupted
     def test_spurious_fraction_is_caught(self, monkeypatch):
         _corrupt_kernel(monkeypatch, 4, 1, Fraction(1, 2))
         with pytest.raises(InternalCheckError):
-            is_binomid(triangular_seq(), 6)
+            is_binomid(triangular_past_cap(), 6)
 
     def test_hidden_fraction_is_caught(self, monkeypatch):
         # over (2, 3) the first non-integral entry is [2 1] = 3/2; the
@@ -260,7 +357,8 @@ class TestCrossCheckIsLive:
 
     def test_classify_exits_3(self, capsys, monkeypatch):
         _corrupt_kernel(monkeypatch, 4, 1, Fraction(1, 2))
-        code = main(["classify", "T", "--bound", "6"])
+        spec = "list:" + ",".join(str(t_past_cap(n)) for n in range(1, 7))
+        code = main(["classify", spec, "--bound", "6"])
         captured = capsys.readouterr()
         assert code == 3
         assert captured.out == ""
@@ -277,10 +375,10 @@ class TestCrossCheckIsLive:
                     row[4] += 1
                 yield row
 
-        assert is_binomid(triangular_seq(), 8).holds()
+        assert is_binomid(triangular_past_cap(), 8).holds()
         monkeypatch.setattr(binomid.classify, "_rows", corrupted)
         with pytest.raises(InternalCheckError, match="row 6"):
-            is_binomid(triangular_seq(), 8)
+            is_binomid(triangular_past_cap(), 8)
 
     def test_fractional_mirror_is_guarded(self, monkeypatch):
         # a spurious fraction past the middle of a row, where the kernel
@@ -295,18 +393,36 @@ class TestCrossCheckIsLive:
 
         monkeypatch.setattr(binomid.classify, "_rows", corrupted)
         with pytest.raises(InternalCheckError, match="row 7"):
-            is_binomid(triangular_seq(), 8)
+            is_binomid(triangular_past_cap(), 8)
 
     def test_unit_edge_is_guarded(self, monkeypatch):
         # [4 0] = [4 4] = 2 keeps the row a palindrome and leaves every
         # 1 <= k <= n/2 alone, so only the unit edge catches it
         _corrupt_kernel(monkeypatch, 4, 0, 1)
         with pytest.raises(InternalCheckError, match="row 4"):
-            is_binomid(triangular_seq(), 6)
+            is_binomid(triangular_past_cap(), 6)
 
-    def test_rows_stop_at_the_witness_row(self, monkeypatch, two_pow_a):
-        # the step rejects rows 4 and 6 of two_pow_a; rows 3 and 5 are
-        # rebuilt to guard them, and row 6 holds the witness
+    def test_rows_stop_at_the_witness_row(self, monkeypatch):
+        # B2 ** a with the exponents of the two_pow_a fixture: the dual-gcd
+        # step rejects rows 4 and 6 and no residual factors; rows 3 and 5
+        # are rebuilt to guard them, and row 6 holds the witness
+        exponents = [0, 2, 4, 1, 3, 1]
+        f = Sequence("b2_pow_a", lambda n: B2 ** (exponents[n - 1] if n <= 6 else 4))
+        built = []
+        original = binomid.classify._rows
+
+        def counted(*args):
+            for row in original(*args):
+                built.append(len(row) - 1)
+                yield row
+
+        monkeypatch.setattr(binomid.classify, "_rows", counted)
+        assert is_binomid(f, 20).witness["n"] == 6
+        assert built == [3, 4, 5, 6]
+
+    def test_residual_step_stops_the_kernel_rows(self, monkeypatch, two_pow_a):
+        # over two_pow_a itself the residuals are powers of 2: the residual
+        # step certifies row 4, so the kernel builds only rows 5 and 6
         built = []
         original = binomid.classify._rows
 
@@ -317,16 +433,29 @@ class TestCrossCheckIsLive:
 
         monkeypatch.setattr(binomid.classify, "_rows", counted)
         assert is_binomid(two_pow_a, 20).witness["n"] == 6
-        assert built == [3, 4, 5, 6]
+        assert built == [5, 6]
 
     def test_certified_row_must_be_integral(self, monkeypatch):
-        # over (4, 6, 3), [2 1] = 3/2 and the step rejects rows 2 and 3; a
-        # step that wrongly certifies row 2 is caught when row 3 rebuilds it
+        # over (4, 6, 3), [2 1] = 3/2 and both steps reject rows 2 and 3; a
+        # dual-gcd step that wrongly certifies row 2 is caught when row 3
+        # rebuilds it
         f = from_list([4, 6, 3])
         assert is_binomid(f, 3).witness["n"] == 2
         original = binomid.classify._certified
         monkeypatch.setattr(binomid.classify, "_certified",
-                            lambda t, n: n == 2 or original(t, n))
+                            lambda t, n, *step: n == 2 or original(t, n, *step))
+        with pytest.raises(InternalCheckError,
+                           match="triangle row 2 is certified but not integral"):
+            is_binomid(f, 3)
+
+    def test_residual_certified_row_must_be_integral(self, monkeypatch):
+        # over (4, 6, 3) the residual of [2 1] is 2, and S_2(2) = 3 is less
+        # than S_2(1) + S_2(1) = 4; a residual step that wrongly certifies
+        # row 2 is caught when row 3, whose residual 2 fails too, rebuilds it
+        f = from_list([4, 6, 3])
+        original = binomid.classify._Residuals.certify
+        monkeypatch.setattr(binomid.classify._Residuals, "certify",
+                            lambda res, n, k, r: n == 2 or original(res, n, k, r))
         with pytest.raises(InternalCheckError,
                            match="triangle row 2 is certified but not integral"):
             is_binomid(f, 3)
