@@ -387,10 +387,13 @@ def _witness_json(witness: dict) -> dict:
 
 
 def report_to_json(rep: cls.ClassificationReport) -> dict:
-    return {"property": rep.property,
-            "bound": rep.scanned_bound(),
-            "verdict": rep.verdict,
-            "witness": None if rep.witness is None else _witness_json(rep.witness)}
+    doc = {"property": rep.property,
+           "bound": rep.scanned_bound(),
+           "verdict": rep.verdict,
+           "witness": None if rep.witness is None else _witness_json(rep.witness)}
+    if rep.note is not None:
+        doc["note"] = rep.note
+    return doc
 
 
 def per_prime_to_json(decomp: cls.PerPrimeDecomposition) -> dict:

@@ -560,6 +560,21 @@ class TestClassifyJsonExtras:
         assert json.loads(out) == [{"property": "binomid", "bound": 4,
                                     "verdict": "holds_to_bound", "witness": None}]
 
+    def test_notes_are_kept(self, capsys):
+        # the notes text output prints in brackets: a vacuous column
+        # refutation, a reduced bound and a reduced depth
+        code, out, _ = run(capsys, "classify", "list:1,2,3,4,5,7", "--bound", "5",
+                           "--levels", "2", "--only", "binomid_every_level",
+                           "--format", "json")
+        assert code == 1
+        assert json.loads(out)[0]["note"] == "column entry is not an integer"
+        code, out, _ = run(capsys, "classify", "list:1,2,3", "--bound", "10",
+                           "--levels", "5", "--only", "binomid,binomid_every_level",
+                           "--format", "json")
+        assert code == 0
+        assert [rep["note"] for rep in json.loads(out)] == [
+            "finite sequence: bound reduced to 3", "finite sequence: depth reduced to 3"]
+
     def test_per_prime_alone(self, capsys):
         code, out, _ = run(capsys, *self.BASE, "--per-prime", "7", "--format", "json")
         assert code == 0
@@ -569,7 +584,8 @@ class TestClassifyJsonExtras:
         assert doc["per_prime"] == {
             "prime_bound": 7, "bound": 4,
             "primes": [{"prime": p, "property": "binomid_additive", "bound": 4,
-                        "verdict": "holds_to_bound", "witness": None} for p in (2, 3)],
+                        "verdict": "holds_to_bound", "witness": None,
+                        "note": f"additive criterion, base {p}"} for p in (2, 3)],
             "undecided": [], "combined_verdict": "holds_to_bound",
             "agrees_with_direct": True}
 
