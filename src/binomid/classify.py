@@ -91,7 +91,7 @@ class _Residuals:
 
     def __init__(self, t: list[int]):
         self.t = t
-        self.sums = {}  # p -> [S_p(0), S_p(1), ...], in the order the primes are seen
+        self.sums = {}  # p -> [S_p(0), ..., S_p(len(t) - 1)], in the order the primes are seen
         self.factors = {}  # residual -> its primes, or None when they are not found
 
     def certify(self, n: int, k: int, r: int) -> bool:
@@ -100,9 +100,7 @@ class _Residuals:
         if primes is None:
             return False
         for p in primes:
-            s = self.sums.get(p)
-            if s is None or len(s) <= n:
-                s = self._sums(p, n)
+            s = self.sums[p] if p in self.sums else self._sums(p)
             if s[n] < s[k] + s[n - k]:
                 return False
         return True
@@ -134,12 +132,10 @@ class _Residuals:
         self.factors[key] = found
         return found
 
-    def _sums(self, p: int, n: int) -> list[int]:
-        # S_p extended to S_p(n); rows come in ascending order, so each
-        # v_p(f(i)) is taken once
-        sums = self.sums.setdefault(p, [0])
-        total = sums[-1]
-        for v in self.t[len(sums):n + 1]:
+    def _sums(self, p: int) -> list[int]:
+        sums = self.sums[p] = [0]
+        total = 0
+        for v in self.t[1:]:
             while v % p == 0:
                 v //= p
                 total += 1
