@@ -87,7 +87,7 @@ class _Residuals:
     primes of each residual, and the partial sums S_p of v_p(f(i)).
     """
 
-    primes = None  # the primes up to the cap, listed on first use and kept
+    primes = None  # the primes up to the cap: the same for every call, listed on first use
 
     def __init__(self, t: list[int]):
         self.t = t

@@ -9,8 +9,9 @@ triangle.
 `is_binomid` once decided by the window-divisibility criterion (the
 product of the first k terms divides every product of k consecutive
 terms); that scan is kept here as a second witness oracle. Before the
-dual-gcd step certified rows, it built and guarded every row down to the
-witness; that route is kept as the oracle of the step.
+dual-gcd and residual steps certified rows, it built and guarded every
+row down to the witness; that route is kept as the oracle of both steps
+and of the per-prime decomposition.
 """
 
 from fractions import Fraction
