@@ -275,8 +275,9 @@ def _check_slices_match_columns(f: Sequence, pyr) -> None:
                     f"slice {n + m - 1} row {n} disagrees with column {m}")
 
 
-def mobius_invert(f: Sequence, count: int) -> list[Fraction]:
-    """The unique g with f = divisor-product of g, as exact rationals.
+def mobius_invert(f: Sequence, count: int) -> list[int | Fraction]:
+    """The unique g with f = divisor-product of g, exact: g(n) is an int
+    where it is integral and a Fraction in lowest terms elsewhere.
 
     g(n) is the product of f(d)**mu(n/d) over divisors d of n. By the
     Euler product mu = prod over primes p of (1 - [x p]), that is f with
@@ -286,28 +287,38 @@ def mobius_invert(f: Sequence, count: int) -> list[Fraction]:
     is still that pass's input when h(n) is divided by it. The exact round
     trip back to f is verified before returning, on plain integers: over
     the divisors d of n, the numerators of g(d) multiply to f(n) times the
-    product of their denominators.
+    product of their denominators. A g(d) = 1 changes no product, and the
+    denominators are multiplied only when some g(d) is a Fraction.
     """
     if count < 1:
         raise ValueError("count must be positive")
     values = f.prefix(count)
     inverted = _mobius_quotients(values)
     nums = [1] * (count + 1)
-    dens = [1] * (count + 1)
+    dens = None
     for d, q in enumerate(inverted, start=1):
-        a, b = q.numerator, q.denominator
-        for n in range(d, count + 1, d):
-            nums[n] *= a
-            dens[n] *= b
+        if type(q) is not int:
+            if dens is None:
+                dens = [1] * (count + 1)
+            b = q.denominator
+            for n in range(d, count + 1, d):
+                dens[n] *= b
+            q = q.numerator
+        if q != 1:
+            for n in range(d, count + 1, d):
+                nums[n] *= q
+    if dens is not None:
+        values = [v * b for v, b in zip(values, dens[1:])]
     for n in range(1, count + 1):
-        if nums[n] != values[n - 1] * dens[n]:
+        if nums[n] != values[n - 1]:
             raise InternalCheckError(f"inversion round trip failed at index {n}")
     return inverted
 
 
-def _mobius_quotients(values: list[int]) -> list[Fraction]:
+def _mobius_quotients(values: list[int]) -> list[int | Fraction]:
     # h(n) is the pair num[n] / den[n], kept unreduced and made an integer
-    # again whenever a division comes out exact
+    # again whenever a division comes out exact, so den[n] is 1 exactly
+    # when h(n) is an integer
     count = len(values)
     num = [1, *values]
     den = [1] * (count + 1)
@@ -316,16 +327,11 @@ def _mobius_quotients(values: list[int]) -> list[Fraction]:
             a, b = num[n] * den[n // p], den[n] * num[n // p]
             q, r = divmod(a, b)
             num[n], den[n] = (a, b) if r else (q, 1)
-    return [_quotient(num[n], den[n]) for n in range(1, count + 1)]
+    return [a if b == 1 else Fraction(a, b) for a, b in zip(num[1:], den[1:])]
 
 
-def _quotient(num: int, den: int) -> Fraction:
-    # an exact quotient needs no gcd to be in lowest terms
-    q, r = divmod(num, den)
-    return Fraction(num, den) if r else Fraction(q)
-
-
-def _divisor_product(f: Sequence, bound: int) -> tuple[ClassificationReport, list[Fraction]]:
+def _divisor_product(f: Sequence, bound: int
+                     ) -> tuple[ClassificationReport, list[int | Fraction]]:
     eff, reduced, note = _capped(f, bound)
     inverted = mobius_invert(f, eff)
     witness = None
@@ -496,14 +502,37 @@ def is_dual_gcd(f: Sequence, bound: int) -> ClassificationReport:
 
 
 def is_multiplicative(f: Sequence, bound: int) -> ClassificationReport:
-    """f(ab) = f(a) f(b) on coprime pairs with product within the bound."""
+    """f(ab) = f(a) f(b) on coprime pairs with product within the bound.
+
+    The pair (1, 1) gives f(1) = 1. Let q = p^e be the full power in n of
+    its smallest prime p. With f(1) = 1, this holds on 1..N exactly when
+    f(n) = f(q) f(n/q) for every n <= N that is not a prime power: by
+    strong induction f(n) is then the product of f(p_i^e_i) over the prime
+    powers of n, so f(a) f(b) = f(ab) for coprime a, b; conversely each
+    (q, n/q) is a scanned coprime pair. A pass is proved by these steps
+    (`_product_rule_holds`), one per index; only when they fail does the
+    pair scan run, and it finds the lexicographically first violating
+    pair. Terms are read in ascending order, as the pair scan's a = 1 row
+    reads them.
+    """
     eff, reduced, note = _capped(f, bound)
     witness = _product_rule_witness(f, eff, coprime_only=True)
     return _report("multiplicative", bound, witness, reduced, note)
 
 
 def is_homomorphic(f: Sequence, bound: int) -> ClassificationReport:
-    """f(ab) = f(a) f(b) on all pairs with product within the bound."""
+    """f(ab) = f(a) f(b) on all pairs with product within the bound.
+
+    The pair (1, 1) gives f(1) = 1. With f(1) = 1, this holds on 1..N
+    exactly when f(n) = f(p) f(n/p) for every 2 <= n <= N, with p the
+    smallest prime of n: by strong induction f(n) is then the product of
+    f(p_i) over the primes of n counted with multiplicity, so f(a) f(b) =
+    f(ab); conversely each (p, n/p) is a scanned pair. A pass is proved by
+    these steps (`_product_rule_holds`), one per index; only when they
+    fail does the pair scan run, and it finds the lexicographically first
+    violating pair. Terms are read in ascending order, as the pair scan's
+    a = 1 row reads them.
+    """
     eff, reduced, note = _capped(f, bound)
     witness = _product_rule_witness(f, eff, coprime_only=False)
     return _report("homomorphic", bound, witness, reduced, note)
@@ -567,6 +596,39 @@ def battery(f: Sequence, bound: int, names: list[str],
 
 def _product_rule_witness(f: Sequence, eff: int, coprime_only: bool) -> dict | None:
     t = f._terms
+    if _product_rule_holds(t, eff, coprime_only):
+        return None
+    witness = _product_pair_witness(t, eff, coprime_only)
+    if witness is None:
+        rule = "multiplicative" if coprime_only else "homomorphic"
+        raise InternalCheckError(f"{rule}: a prime step fails but no pair does")
+    return witness
+
+
+def _product_rule_holds(t, eff: int, coprime_only: bool) -> bool:
+    # the prime steps of `is_multiplicative` and `is_homomorphic`; every
+    # term is read, prime powers included, so a zero term raises here
+    # as in the pair scan's a = 1 row
+    if t[1] != 1:
+        return False
+    spf = smallest_prime_factors(eff)
+    for n in range(2, eff + 1):
+        f_n = t[n]
+        d = spf[n]
+        if coprime_only:
+            m = n // d
+            while m % d == 0:
+                m //= d
+            if m == 1:
+                continue  # n is a prime power
+            d = n // m
+        if f_n != t[d] * t[n // d]:
+            return False
+    return True
+
+
+def _product_pair_witness(t, eff: int, coprime_only: bool) -> dict | None:
+    # the first pair (a, b), a <= b, with f(a) f(b) != f(ab)
     for a in range(1, eff + 1):
         b = a
         while a * b <= eff:
@@ -685,7 +747,7 @@ def divisor_product_profile(f: Sequence, bound: int,
         return DivisorProductProfile(eff, False,
                                      {"reason": "not a divisor-product",
                                       **(dp.witness or {})})
-    g = [None, *(q.numerator for q in inverted)]  # g[n] is g(n)
+    g = [None, *inverted]  # g[n] is g(n), an int
     spf = smallest_prime_factors(eff)
     # a multiplicative violation is a homomorphic one too, so the pass keeps
     # the first homomorphic witness and stops at the multiplicative one

@@ -85,8 +85,27 @@ class Sequence:
         return self._terms[n]
 
     def prefix(self, count: int) -> list[int]:
-        """The first `count` terms as a list."""
-        return [self._terms[n] for n in range(1, count + 1)]
+        """The first `count` terms as a list.
+
+        The missing terms are computed in ascending order under one hold of
+        the store's lock, and a zero or undefined term raises what reading
+        the terms one by one raises.
+        """
+        t = self._terms
+        end = count if t._length is None else min(count, t._length)
+        out = []
+        with t._lock:
+            for n in range(1, end + 1):
+                value = t.get(n)
+                if value is None:
+                    value = t._rule(n)
+                    if value == 0:
+                        raise ZeroTermError(n)
+                    t[n] = value
+                out.append(value)
+        if end < count:
+            t[end + 1]  # undefined: raises as a single read does
+        return out
 
 
 def from_list(values, name: str | None = None) -> Sequence:

@@ -9,6 +9,7 @@ route the single pass replaced; all are kept here as oracles.
 """
 
 import random
+import sys
 from fractions import Fraction
 from math import gcd
 
@@ -399,10 +400,12 @@ class TestScansAgainstOldRoutes:
         quotients = classify._mobius_quotients(values)
         expected = old_mobius_invert(values)
         assert quotients == expected
-        assert all(type(q) is Fraction for q in quotients)
+        # an int exactly where g(n) is integral, a reduced Fraction elsewhere
+        assert [type(q) for q in quotients] == [
+            int if q.denominator == 1 else Fraction for q in expected]
         assert [(q.numerator, q.denominator) for q in quotients] == [
             (q.numerator, q.denominator) for q in expected]
-        assert all(q.denominator == 1 for q in quotients) == integral
+        assert all(type(q) is int for q in quotients) == integral
 
     @given(scan_inputs())
     @settings(max_examples=300, deadline=None)
@@ -549,17 +552,20 @@ class TestInversionBuildsNoTable:
         assert mobius_invert(parse_seqspec("P(I)").build(), 300) == list(range(1, 301))
 
     def test_profile_run_builds_one_spf_table(self, monkeypatch, capsys):
+        # builds counted per calling function: the product-rule scans build
+        # one table each, the inversion none, the profile's own pass one
         calls = []
         original = numtheory.smallest_prime_factors
 
         def counted(limit):
-            calls.append(limit)
+            calls.append((sys._getframe(1).f_code.co_name, limit))
             return original(limit)
 
         _patch_spf(monkeypatch, counted)
         assert main(["classify", "P(I)", "--bound", "300", "--profile"]) == 1
         assert "profile gcd_sequence: fails" in capsys.readouterr().out
-        assert calls == [300]
+        assert sorted(calls) == [("_product_rule_holds", 300)] * 2 + [
+            ("divisor_product_profile", 300)]
 
 
 # -- the profile inverts once --------------------------------------------------
