@@ -147,7 +147,7 @@ class _Parser:
         if signed and self._peek() in "+-":
             self.pos += 1
         digits = self.pos
-        while self.pos < len(self.text) and self.text[self.pos].isdigit():
+        while self.pos < len(self.text) and self.text[self.pos].isdecimal():
             self.pos += 1
         if self.pos == digits:
             self.error("expected an integer" if signed
@@ -172,8 +172,8 @@ class _Parser:
         self.pos += 1
         self._skip_ws()
         ch = self._peek()
-        ok = ch.isdigit() or (ch in "+-" and self.pos + 1 < len(self.text)
-                              and self.text[self.pos + 1].isdigit())
+        ok = ch.isdecimal() or (ch in "+-" and self.pos + 1 < len(self.text)
+                                and self.text[self.pos + 1].isdecimal())
         self.pos = save
         return ok
 

@@ -78,6 +78,24 @@ class TestParser:
             parse_seqspec(text)
         assert exc.value.offset == offset
 
+    # str.isdigit accepts superscripts, which int() rejects; a digit is what
+    # str.isdecimal accepts, so other scripts' decimal digits still parse
+    @pytest.mark.parametrize("text, message", [
+        ("list:²", "expected an integer (byte offset 5)"),
+        ("gq:³", "expected an integer (byte offset 3)"),
+        ("row(¹,I)", "expected a nonnegative integer (byte offset 4)"),
+        ("list:1,2²", "unexpected trailing input (byte offset 8)"),
+        ("list:1,²", "unexpected trailing input (byte offset 6)"),
+        ("list:1,-²", "unexpected trailing input (byte offset 6)"),
+        ("lucas:1,-²", "expected an integer (byte offset 8)"),
+    ])
+    def test_non_decimal_digits_exit_2_with_an_offset(self, capsys, text, message):
+        code, out, err = run(capsys, "triangle", text, "--rows", "1")
+        assert (code, out, err) == (2, "", f"error: {message}\n")
+
+    def test_decimal_digits_of_other_scripts_parse(self):
+        assert parse_seqspec("list:٣,4").build().prefix(2) == [3, 4]
+
     def test_semantic_errors_surface_at_build(self):
         with pytest.raises(ZeroTermError) as exc:
             parse_seqspec("list:1,0,3").build()
