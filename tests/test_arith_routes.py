@@ -1,11 +1,13 @@
 """Differential and liveness tests for the smallest-prime-factor table,
-the prime-by-prime inversion, the certified gcd and divisibility scans,
-the profile's single pass over g, and the prefix-extending Lucas rule.
+the prime-by-prime inversion, the certified gcd, divisibility and
+product-rule scans, the profile's single pass over g, and the
+prefix-extending Lucas rule.
 
 The trial-division helpers below are the number-theory code the sieve
 replaced in the scans, the pair scans below are the routes the lattice
-certificates replaced on passing inputs, and the two-loop profile is the
-route the single pass replaced; all are kept here as oracles.
+and prime-step certificates replaced on passing inputs, and the two-loop
+profile is the route the single pass replaced; all are kept here as
+oracles.
 """
 
 import random
@@ -129,8 +131,28 @@ def old_route(prop, witness_of):
     return scan
 
 
+def old_product_rule_witness(coprime_only):
+    """The multiplicative (coprime pairs) or homomorphic (all pairs) scan
+    before the prime-step certificate: every pair a <= b with ab in range."""
+    def witness_of(t, eff):
+        for a in range(1, eff + 1):
+            b = a
+            while a * b <= eff:
+                if not coprime_only or gcd(a, b) == 1:
+                    lhs = t[a] * t[b]
+                    rhs = t[a * b]
+                    if lhs != rhs:
+                        return {"a": a, "b": b, "product_of_terms": lhs,
+                                "term_of_product": rhs}
+                b += 1
+        return None
+    return witness_of
+
+
 OLD_SCANS = {"gcd_sequence": old_route("gcd_sequence", old_gcd_witness),
-             "divisible": old_route("divisible", old_divisible_witness)}
+             "divisible": old_route("divisible", old_divisible_witness),
+             "multiplicative": old_route("multiplicative", old_product_rule_witness(True)),
+             "homomorphic": old_route("homomorphic", old_product_rule_witness(False))}
 
 
 def old_divisor_product_profile(f, bound):
@@ -302,6 +324,38 @@ def scan_inputs(draw):
     return values, bound, draw(st.booleans())
 
 
+@st.composite
+def product_rule_inputs(draw):
+    """(values, bound, wrap): f completely multiplicative or multiplicative
+    on 1..L, then f(1) set to 1, -1 or 2, maybe one term changed, and maybe
+    a zero at a prime-power index, at a composite one, or at both; the
+    bound may pass L, and `wrap` scans P(list) instead."""
+    length = draw(st.integers(1, 48))
+    complete = draw(st.booleans())
+    value = st.sampled_from([-3, -2, -1, 1, 2, 3, 5])
+    f = [None, 1]
+    for n in range(2, length + 1):
+        (p, e), *others = trial_factorization(n)
+        if complete and n != p:
+            f.append(f[p] * f[n // p])
+        elif not others:
+            f.append(draw(value))
+        else:
+            f.append(f[p ** e] * f[n // p ** e])
+    values = f[1:]
+    values[0] = draw(st.sampled_from([1, 1, 1, -1, 2]))
+    if draw(st.booleans()):
+        i = draw(st.integers(0, length - 1))
+        values[i] = PERTURB[draw(st.sampled_from(sorted(PERTURB)))](values[i])
+    powers = [n for n in range(2, length + 1) if prime_power_base(n) is not None]
+    composites = [n for n in range(2, length + 1) if prime_power_base(n) is None]
+    for where, indices in (("power", powers), ("composite", composites)):
+        if indices and draw(st.sampled_from(["none", where])) == where:
+            values[draw(st.sampled_from(indices)) - 1] = 0
+    bound = draw(st.integers(1, length + 4))
+    return values, bound, draw(st.booleans())
+
+
 PROFILE_VALUES = [-1, *range(1, 10)]
 
 
@@ -452,6 +506,29 @@ class TestScansAgainstOldRoutes:
             seq.prefix(150)
             assert classify.is_gcd_sequence(seq, 150) == OLD_SCANS["gcd_sequence"](seq, 150)
 
+    @given(product_rule_inputs())
+    @settings(max_examples=400, deadline=None)
+    def test_multiplicative_witness_matches_old_route(self, drawn):
+        assert_same_as_old_route("multiplicative", *drawn)
+
+    @given(product_rule_inputs())
+    @settings(max_examples=400, deadline=None)
+    def test_homomorphic_witness_matches_old_route(self, drawn):
+        assert_same_as_old_route("homomorphic", *drawn)
+
+    @pytest.mark.parametrize("prop", ["multiplicative", "homomorphic"])
+    @pytest.mark.parametrize("spec", ["I", "pow(2,I)", "product(I,scalar(-1,I))",
+                                      "phi", "const:-1"])
+    def test_product_rules_on_families(self, spec, prop, phi_seq):
+        # every term of each prefix of 60 changed in each way, one at a time
+        values = (phi_seq if spec == "phi" else parse_seqspec(spec).build()).prefix(60)
+        for i in range(60):
+            for change in PERTURB.values():
+                changed = list(values)
+                changed[i] = change(changed[i])
+                assert_same_as_old_route(prop, changed, 60, False)
+        assert_same_as_old_route(prop, values, 60, False)
+
     @given(profile_inputs())
     @settings(max_examples=400, deadline=None)
     def test_profile_matches_old_route(self, drawn):
@@ -482,6 +559,23 @@ class TestCertificateLiveness:
         monkeypatch.setattr(classify, "_gcd_lattice_holds", lambda t, eff: False)
         with pytest.raises(InternalCheckError, match="lattice certificate"):
             classify.is_gcd_sequence(fibonacci(), 30)
+
+    @pytest.mark.parametrize("scan", [classify.is_multiplicative, classify.is_homomorphic])
+    @pytest.mark.parametrize("spec", ["I", "pow(3,I)", "product(I,pow(2,I))"])
+    def test_passing_product_rule_scan_runs_no_pair_scan(self, monkeypatch, scan, spec):
+        monkeypatch.setattr(classify, "_product_pair_witness", _never)
+        assert scan(parse_seqspec(spec).build(), 2000).holds()
+
+    def test_passing_multiplicative_scan_of_phi_runs_no_pair_scan(self, monkeypatch, phi_seq):
+        monkeypatch.setattr(classify, "_product_pair_witness", _never)
+        assert classify.is_multiplicative(phi_seq, 2000).holds()
+
+    @pytest.mark.parametrize("scan, rule", [(classify.is_multiplicative, "multiplicative"),
+                                            (classify.is_homomorphic, "homomorphic")])
+    def test_a_failing_prime_step_needs_a_failing_pair(self, monkeypatch, scan, rule):
+        monkeypatch.setattr(classify, "_product_rule_holds", lambda t, eff, coprime: False)
+        with pytest.raises(InternalCheckError, match=f"{rule}: a prime step fails"):
+            scan(identity_seq(), 30)
 
     def test_a_failing_prime_step_needs_a_failing_divisor(self, monkeypatch):
         monkeypatch.setattr(classify, "divisors", lambda n: [n])

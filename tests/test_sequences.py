@@ -381,3 +381,98 @@ class TestTermFastPath:
         assert len(results) == 8
         assert all(r == {n: n * n + 1 for n in range(1, 61)} for r in results)
         assert calls == Counter(range(1, 61))
+
+
+class TestPrefixFill:
+    """`prefix` computes its missing terms in one pass under the store's
+    lock; it returns, raises and stores what reading the terms one by one
+    through `term` does."""
+
+    @staticmethod
+    def outcome(read):
+        try:
+            return read()
+        except (ZeroTermError, UndefinedTermError) as exc:
+            return type(exc), str(exc), exc.index
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.lists(st.sampled_from([0, 1, -1, 2, 3]), min_size=1, max_size=30),
+           st.integers(0, 34), st.lists(st.integers(1, 34), max_size=4))
+    def test_same_terms_errors_store_and_rule_calls_as_term_reads(self, values, count, warm):
+        def drawn(calls):
+            def rule(n):
+                calls.append(n)
+                return values[n - 1]
+            seq = Sequence("drawn", rule, length=len(values))
+            for n in warm:  # terms some earlier read stored, or failed to
+                self.outcome(lambda: seq.term(n))
+            return seq
+
+        filled_calls, read_calls = [], []
+        filled, read = drawn(filled_calls), drawn(read_calls)
+        assert self.outcome(lambda: filled.prefix(count)) == self.outcome(
+            lambda: [read.term(n) for n in range(1, count + 1)])
+        assert dict(filled._terms) == dict(read._terms)
+        assert filled_calls == read_calls
+
+    def test_zero_term_raises_and_is_not_stored(self):
+        seq = Sequence("zero at 3", lambda n: 0 if n == 3 else n)
+        for _ in range(2):
+            with pytest.raises(ZeroTermError) as exc:
+                seq.prefix(5)
+            assert exc.value.index == 3
+        assert dict(seq._terms) == {1: 1, 2: 2}
+        with pytest.raises(ZeroTermError):
+            seq.term(3)
+
+    def test_past_a_finite_end_raises_and_stores_nothing_there(self):
+        seq = Sequence("three", lambda n: n, length=3)  # the rule itself has no end
+        with pytest.raises(UndefinedTermError) as exc:
+            seq.prefix(5)
+        assert (exc.value.index, str(exc.value)) == (4, "three: term 4 is undefined")
+        assert dict(seq._terms) == {1: 1, 2: 2, 3: 3}
+        assert seq.prefix(3) == [1, 2, 3]
+        assert seq.prefix(0) == []
+
+    def test_threads_mixing_prefix_and_term_see_identical_values(self):
+        calls = Counter()
+        count_lock = threading.Lock()
+
+        def rule(n):
+            with count_lock:
+                calls[n] += 1
+            time.sleep(0.0002)  # widen the window between miss and store
+            return 3 * n - 1
+
+        seq = Sequence("slow", rule)
+        start = threading.Barrier(8)
+        results = []
+
+        def worker(seed):
+            rng = random.Random(seed)
+            start.wait()
+            if seed % 2:
+                got = {}
+                for count in sorted(rng.sample(range(1, 61), 4)) + [60]:
+                    got.update(enumerate(seq.prefix(count), start=1))
+            else:
+                order = list(range(1, 61))
+                rng.shuffle(order)
+                got = {n: seq.term(n) for n in order}
+            results.append(got)
+
+        threads = [threading.Thread(target=worker, args=(i,), daemon=True)
+                   for i in range(8)]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=30)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(t.is_alive() for t in threads)
+        assert len(results) == 8
+        assert all(r == {n: 3 * n - 1 for n in range(1, 61)} for r in results)
+        assert calls == Counter(range(1, 61))
