@@ -12,7 +12,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import gcd
+from math import gcd, isqrt
 
 from . import _EXPORTS
 from .core import _rows, col_seq, pyramid, triangle
@@ -60,59 +60,62 @@ def _report(prop: str, bound: int, witness: dict | None, reduced: int | None = N
                                 witness, reduced, note)
 
 
-def _certified(t: list[int], n: int, residuals: _Residuals | None = None) -> bool:
+def _certified(t: list[int], n: int, residuals: _Residuals) -> bool:
     """The dual-gcd step: is row n integral whenever row n-1 is?
 
     `t[i]` is f(i). With g = gcd(f(k), f(n-k)) = u f(k) + v f(n-k), the
     identities [n k] f(k) = [n-1 k-1] f(n) and [n k] f(n-k) = [n-1 k] f(n)
     give [n k] g = f(n) (u [n-1 k-1] + v [n-1 k]). So if g divides f(n)
     for every 1 <= k <= n/2, an integral row n-1 makes row n integral.
-    Given `residuals`, a k where g does not divide f(n) is decided by the
-    residual step on r_k = g / gcd(g, f(n)) (`_Residuals.certify`).
+    A k where g does not divide f(n) is decided by the residual step on
+    r_k = g / gcd(g, f(n)) (`_Residuals.certify`).
     """
     f_n = t[n]
     for k in range(1, n // 2 + 1):
         g = gcd(t[k], t[n - k])
-        if f_n % g and (residuals is None
-                        or not residuals.certify(n, k, g // gcd(g, f_n))):
+        if f_n % g and not residuals.certify(n, k, g // gcd(g, f_n)):
             return False
     return True
 
 
-_PRIME_CAP = 1000  # the residual step factors residuals by the primes up to this
+_PRIME_CAP = 1000  # the residual step trial-divides residuals by the primes up to this
 
 
 class _Residuals:
     """The residual step of one `is_binomid` call over `t[i]` = f(i): the
-    primes of each residual, and the partial sums S_p of v_p(f(i)).
+    pieces of each residual, and the partial sums S_q of their exponents.
+
+    The pieces met in one call are pairwise coprime, and every term is
+    q^e * u with gcd(u, q) = 1 for each piece q: a prime, or a product of
+    primes past the cap that refinement (`_refine`) ties together.
     """
 
     primes = None  # the primes up to the cap: the same for every call, listed on first use
 
     def __init__(self, t: list[int]):
         self.t = t
-        self.sums = {}  # p -> [S_p(0), ..., S_p(len(t) - 1)], in the order the primes are seen
-        self.factors = {}  # residual -> its primes, or None when they are not found
+        self.sums = {}  # q -> [S_q(0), ..., S_q(len(t) - 1)], in the order the pieces are seen
+        self.pieces = {}  # residual -> its pieces
 
     def certify(self, n: int, k: int, r: int) -> bool:
         """Is [n k] an integer, given that row n-1 is and r = r_k?"""
-        primes = self.factors[r] if r in self.factors else self._factor(r)
-        if primes is None:
-            return False
-        for p in primes:
-            s = self.sums[p] if p in self.sums else self._sums(p)
+        pieces = self.pieces[r] if r in self.pieces else self._pieces(r)
+        for q in pieces:
+            s = self.sums[q] if q in self.sums else self._sums(q)
             if s[n] < s[k] + s[n - k]:
                 return False
         return True
 
-    def _factor(self, r: int) -> list[int] | None:
+    def _pieces(self, r: int) -> list[int]:
+        # r is a quotient of gcds of terms, so each piece met before
+        # divides it only as a power of the whole piece
         key, found = r, []
-        for p in self.sums:
-            if r % p == 0:
-                found.append(p)
-                r //= p
-                while r % p == 0:
-                    r //= p
+        for q in self.sums:
+            if r % q == 0:
+                found.append(q)
+                r //= q
+                while r % q == 0:
+                    r //= q
         if _Residuals.primes is None:
             _Residuals.primes = primes_up_to(_PRIME_CAP)
         for p in _Residuals.primes:
@@ -128,16 +131,43 @@ class _Residuals:
                     r //= p
         else:
             if r > 1:
-                found = None  # r has no prime factor up to the cap and may not be prime
-        self.factors[key] = found
+                found += self._refine(r)
+        self.pieces[key] = found
         return found
 
-    def _sums(self, p: int) -> list[int]:
-        sums = self.sums[p] = [0]
+    def _refine(self, c: int) -> list[int]:
+        """A pairwise coprime base of c and of the part of each term made
+        of c's primes, found by gcds alone (factor refinement)."""
+        todo = {c}
+        for v in self.t[1:]:
+            part, g = 1, gcd(v, c)
+            while g > 1:
+                part *= g
+                v //= g
+                g = gcd(v, g)
+            todo.add(part)
+        todo.discard(1)
+        todo, base = list(todo), []
+        while todo:
+            a = todo.pop()
+            for i, b in enumerate(base):
+                g = gcd(a, b)
+                if g > 1:
+                    # a * b becomes g * (a / g) * (b / g): the product of all
+                    # numbers left falls, so the loop ends
+                    del base[i]
+                    todo += [x for x in (g, a // g, b // g) if x > 1]
+                    break
+            else:
+                base.append(a)
+        return base
+
+    def _sums(self, q: int) -> list[int]:
+        sums = self.sums[q] = [0]
         total = 0
         for v in self.t[1:]:
-            while v % p == 0:
-                v //= p
+            while v % q == 0:
+                v //= q
                 total += 1
             sums.append(total)
         return sums
@@ -148,35 +178,46 @@ def is_binomid(f: Sequence, bound: int) -> ClassificationReport:
 
     Rows 0 and 1 are integral, and each row n that passes the dual-gcd
     step (`_certified`) is integral if row n-1 is, so it is not built.
-    While no kernel row is at hand, a k that the dual-gcd step rejects
-    goes to the residual step (`_Residuals`). With g = gcd(f(k), f(n-k)),
-    [n k] g = f(n) (u [n-1 k-1] + v [n-1 k]), so when row n-1 is integral
-    the denominator of [n k] divides the residual r_k = g / gcd(g, f(n)),
-    and only a prime of r_k can keep [n k] from being an integer. For a
-    prime p, v_p([n k]) = S_p(n) - S_p(k) - S_p(n-k), where S_p(m) is the
-    sum of v_p(f(i)) over i <= m: the paper's additive criterion, and how
-    Knuth and Wilf count the power of p in [n k] (J. reine angew. Math.
-    396, 1989). So [n k] is an integer exactly when S_p(n) >= S_p(k) +
-    S_p(n-k) for every prime p of r_k. The primes come from trial division
-    by the primes up to `_PRIME_CAP`, which stops once p * p exceeds what
-    is left, so that what is left is 1 or a prime; a residual not factored
-    by then fails the step. A row whose every k passes one of the two
-    steps is integral if row n-1 is.
+    A k that the dual-gcd step rejects goes to the residual step
+    (`_Residuals`). With g = gcd(f(k), f(n-k)), [n k] g = f(n) (u [n-1
+    k-1] + v [n-1 k]), so when row n-1 is integral the denominator of
+    [n k] divides the residual r_k = g / gcd(g, f(n)), and only a prime of
+    r_k can keep [n k] from being an integer. For a prime p, v_p([n k]) =
+    S_p(n) - S_p(k) - S_p(n-k), where S_p(m) is the sum of v_p(f(i)) over
+    i <= m: the paper's additive criterion, and how Knuth and Wilf count
+    the power of p in [n k] (J. reine angew. Math. 396, 1989). So [n k] is
+    an integer exactly when S_p(n) >= S_p(k) + S_p(n-k) for every prime p
+    of r_k.
 
-    The triangle's row kernel builds each row the steps reject, and also
-    row n-1 when that row was certified, which must then hold only ints.
-    Once a row is built, the rows after it that the dual-gcd step rejects
-    are built too, with no residual step: their row n-1 is at hand.
-    By induction on n the first built row with a non-integral entry is
-    the first non-integral row, and the witness is the first entry of its
-    half that is not an int. Every row the steps reject is checked
-    against the kernel's row n-1 by the identity the definition gives
-    between adjacent rows, [n k] f(n-k) = [n-1 k] f(n) for 1 <= k <= n/2,
-    with [n 0] = 1 and the row equal to its own reverse; these fix every
-    entry, with no division and nothing larger than an entry times a
+    The residual step splits r_k into pairwise coprime pieces q that
+    every term is a power of, up to a cofactor prime to q: f(i) = q^e(i) u
+    with gcd(u, q) = 1. Then v_p(f(i)) = v_p(q) e(i) for each prime p | q,
+    so S_p = v_p(q) S_q, and the test on p is the test S_q(n) >= S_q(k) +
+    S_q(n-k), the same for every prime of q. Trial division by the primes
+    up to `_PRIME_CAP` finds the small pieces, and stops once p * p
+    exceeds what is left, which is then 1 or a prime. A cofactor c with no
+    prime up to the cap is refined by gcds alone (Bach, Driscoll and
+    Shallit, "Factor refinement", J. Algorithms 15, 1993): c and the part
+    of each term made of c's primes are split into a coprime base that
+    generates each of them, so each term's part is a product of powers of
+    the pieces, and the pieces hold exactly c's primes. No primality test
+    is needed, and no prime past the cap is ever found. Pieces already
+    met divide a later residual only as powers of the whole piece, since a
+    residual is a quotient of gcds of terms, and are divided out first.
+
+    So every k is decided exactly: a row whose every k passes is integral
+    if row n-1 is, and a rejected k has v_p([n k]) < 0 for some p. By
+    induction on n the first rejected row is the first non-integral row.
+    Only there does the triangle's row kernel build anything: row n-1,
+    which must hold only ints, and row n, which must hold a non-integral
+    entry, and the witness is the first entry of its half that is not an
+    int. Row n is checked against row n-1 by the identity the definition
+    gives between adjacent rows, [n k] f(n-k) = [n-1 k] f(n) for 1 <= k
+    <= n/2, with [n 0] = 1 and the row equal to its own reverse; these fix
+    every entry, with no division and nothing larger than an entry times a
     term. The kernel yields an integral entry as a plain int, so a
-    Fraction entry's product is an exact Fraction, equal to the int on
-    the other side only when the identity holds. A mismatch is an
+    Fraction entry's product is an exact Fraction, equal to the int on the
+    other side only when the identity holds. A failed check is an
     arithmetic bug.
     """
     eff, reduced, note = _capped(f, bound)
@@ -184,16 +225,13 @@ def is_binomid(f: Sequence, bound: int) -> ClassificationReport:
     t = [1, *terms]
     residuals = _Residuals(t)
     witness = None
-    rows = None  # the kernel's rows from n-1 on, while the steps reject each row
     for n in range(eff + 1):
-        if _certified(t, n, residuals if rows is None else None):
-            rows = None
+        if _certified(t, n, residuals):
             continue
-        if rows is None:
-            rows = _rows(terms, n - 1)
-            above = next(rows)
-            if any(type(q) is not int for q in above):
-                raise InternalCheckError(f"triangle row {n - 1} is certified but not integral")
+        rows = _rows(terms, n - 1)
+        above = next(rows)
+        if any(type(q) is not int for q in above):
+            raise InternalCheckError(f"triangle row {n - 1} is certified but not integral")
         row = next(rows)
         h = n // 2
         lhs = [row[k] * t[n - k] for k in range(1, h + 1)]
@@ -201,10 +239,10 @@ def is_binomid(f: Sequence, bound: int) -> ClassificationReport:
         if row != row[::-1] or row[0] != 1 or lhs != rhs:
             raise InternalCheckError(f"triangle row {n} fails the column identity")
         k = next((k for k, q in enumerate(row[:h + 1]) if type(q) is not int), None)
-        if k is not None:
-            witness = {"m": n - k, "k": k, "n": n, "value": row[k]}
-            break
-        above = row
+        if k is None:
+            raise InternalCheckError(f"triangle row {n} is rejected but integral")
+        witness = {"m": n - k, "k": k, "n": n, "value": row[k]}
+        break
     return _report("binomid", bound, witness, reduced, note)
 
 
@@ -647,7 +685,14 @@ def additive_binomid_check(c: int, exponents, bound: int) -> ClassificationRepor
 
     For any base c > 1, the sequence (c ** exponents[n]) is binomid exactly
     when s(m) + s(n) <= s(m+n) for the partial sums s. Exponents may be
-    zero or negative; they are a plain list, not a Sequence.
+    zero or negative; they are a plain list, not a Sequence. The witness
+    is the first violating pair, by total m + n and then by m.
+
+    When no exponent is negative, s never decreases, and only the m with
+    e(m) > 0 are tried: if (total, m) violates, take the largest j <= m
+    with e(j) > 0. With no such j, s(m) = 0 and nothing violates.
+    Otherwise s(j) = s(m) and s(total - j) >= s(total - m), so (total, j)
+    violates too, and the smallest violating m is one of those tried.
     """
     if c <= 1:
         raise ValueError("base must be an integer greater than 1")
@@ -659,13 +704,19 @@ def additive_binomid_check(c: int, exponents, bound: int) -> ClassificationRepor
     sums = [0]
     for e in exponents[:bound]:
         sums.append(sums[-1] + e)
+    if min(exponents[:bound]) >= 0:
+        tried = [m for m in range(1, bound // 2 + 1) if exponents[m - 1] > 0]
+    else:
+        tried = range(1, bound // 2 + 1)
     witness = None
     for total in range(2, bound + 1):
-        for m in range(1, total // 2 + 1):
-            n = total - m
-            if sums[m] + sums[n] > sums[total]:
-                witness = {"m": m, "n": n, "lhs": sums[m] + sums[n],
-                           "rhs": sums[total]}
+        half, rhs = total // 2, sums[total]
+        for m in tried:
+            if m > half:
+                break
+            lhs = sums[m] + sums[total - m]
+            if lhs > rhs:
+                witness = {"m": m, "n": total - m, "lhs": lhs, "rhs": rhs}
                 break
         if witness:
             break
@@ -693,23 +744,35 @@ def per_prime_decomposition(f: Sequence, bound: int, prime_bound: int,
     than guessed at. When every term factors completely, the conjunction of
     the per-prime verdicts must match the binomid verdict of `battery`,
     which reads it from `record` when a run already decided it.
+
+    Only the primes that divide some term get an exponent list. Trial
+    division stops once p * p exceeds what is left of a term, which is
+    then 1 or a prime: a prime up to prime_bound is counted, and a larger
+    one is the undecided cofactor, as after dividing by every prime up to
+    prime_bound. So no prime past the square root of the largest term is
+    listed.
     """
     if prime_bound < 2:
         raise ValueError("prime bound must be at least 2")
     eff, _, _ = _capped(f, bound)
-    primes = primes_up_to(prime_bound)
-    exps = {p: [0] * eff for p in primes}
+    values = [abs(v) for v in f.prefix(eff)]
+    primes = primes_up_to(min(prime_bound, isqrt(max(values, default=1))))
+    exps = {}
     undecided = []
-    for idx in range(1, eff + 1):
-        v = abs(f.term(idx))
+    for idx, v in enumerate(values):
         for p in primes:
-            while v % p == 0:
-                v //= p
-                exps[p][idx - 1] += 1
-        if v > 1:
-            undecided.append((idx, v))
-    reports = [(p, additive_binomid_check(p, exps[p], eff))
-               for p in primes if any(exps[p])]
+            if p * p > v:
+                break
+            if v % p == 0:
+                e = exps.setdefault(p, [0] * eff)
+                while v % p == 0:
+                    v //= p
+                    e[idx] += 1
+        if v > prime_bound:
+            undecided.append((idx + 1, v))
+        elif v > 1:
+            exps.setdefault(v, [0] * eff)[idx] += 1
+    reports = [(p, additive_binomid_check(p, exps[p], eff)) for p in sorted(exps)]
     combined = HOLDS if all(rep.holds() for _, rep in reports) else FAILS
     if not undecided and combined != battery(f, bound, ["binomid"], record)[0].verdict:
         raise InternalCheckError("per-prime conjunction disagrees with direct check")

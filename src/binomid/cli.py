@@ -15,6 +15,7 @@ import argparse
 import functools
 import json
 import os
+import re
 import sys
 from dataclasses import dataclass
 from fractions import Fraction
@@ -110,6 +111,11 @@ class SeqSpec:
                          for a in self.args))
 
 
+# a "list:" literal: `\d` and `\s` accept what str.isdecimal and
+# str.isspace accept, which `_int` and `_skip_ws` read one character at a time
+_INTS = re.compile(r"\s*[+-]?\d+(?:\s*,\s*[+-]?\d+)*\s*")
+
+
 class _Parser:
     def __init__(self, text: str):
         self.text = text
@@ -165,17 +171,14 @@ class _Parser:
             self.error("expected a file path")
         return self.text[start:self.pos]
 
-    def _int_follows(self) -> bool:
-        # lookahead for the greedy list: a comma continues the list only
-        # when an integer comes next
-        save = self.pos
-        self.pos += 1
-        self._skip_ws()
-        ch = self._peek()
-        ok = ch.isdecimal() or (ch in "+-" and self.pos + 1 < len(self.text)
-                                and self.text[self.pos + 1].isdecimal())
-        self.pos = save
-        return ok
+    def _ints(self) -> list[int]:
+        # the greedy list: a comma continues it only when an integer comes next
+        match = _INTS.match(self.text, self.pos)
+        if match is None:
+            self._int()  # raises with the offset of the missing integer
+        self.pos = match.end()
+        # int() strips less than str.isspace accepts (not U+001C to U+001F)
+        return [int(item.strip()) for item in match.group().split(",")]
 
     def _args(self, arg_kinds, level: int) -> tuple:
         args = []
@@ -186,14 +189,10 @@ class _Parser:
                 args.append(self.spec(level))
             elif kind == "path":
                 args.append(self._path())
+            elif kind == "ints":
+                args += self._ints()
             else:
                 args.append(self._int(kind != "uint"))
-            if kind == "ints":
-                self._skip_ws()
-                while self._peek() == "," and self._int_follows():
-                    self.pos += 1
-                    args.append(self._int())
-                    self._skip_ws()
         return tuple(args)
 
     def spec(self, level: int = 0) -> SeqSpec:

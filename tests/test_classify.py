@@ -317,6 +317,27 @@ class TestAdditiveCheck:
         with pytest.raises(ValueError):
             additive_binomid_check(2, [1], 5)
 
+    @settings(max_examples=400, deadline=None)
+    @given(st.one_of(
+        st.lists(st.sampled_from([0, 0, 0, 1, 2]), min_size=1, max_size=40),
+        st.lists(st.integers(0, 4), min_size=1, max_size=40),
+        st.lists(st.integers(-2, 3), min_size=1, max_size=40)), st.integers(0, 3))
+    def test_support_scan_matches_every_pair(self, exponents, extra):
+        # with no negative exponent only the m with e(m) > 0 are tried; the
+        # scan of every pair (m, total - m), kept here, is the oracle
+        bound = max(1, len(exponents) - extra)
+        sums = [0]
+        for e in exponents[:bound]:
+            sums.append(sums[-1] + e)
+        expected = next(({"m": m, "n": total - m, "lhs": sums[m] + sums[total - m],
+                          "rhs": sums[total]}
+                         for total in range(2, bound + 1)
+                         for m in range(1, total // 2 + 1)
+                         if sums[m] + sums[total - m] > sums[total]), None)
+        rep = additive_binomid_check(2, exponents, bound)
+        assert rep.witness == expected
+        assert rep.verdict == (HOLDS if expected is None else FAILS)
+
 
 class TestPerPrime:
     def test_power_of_two_example(self, two_pow_a):

@@ -2,8 +2,10 @@ import contextlib
 import io
 import json
 import os
+import re
 import subprocess
 import sys
+import tracemalloc
 from fractions import Fraction
 from math import comb
 from pathlib import Path
@@ -19,6 +21,30 @@ from binomid import cli
 from binomid.cli import (SeqSpec, SpecParseError, _build_arg_parser,
                          ingest_bfile, main, parse_seqspec)
 from binomid.core import _rows
+
+
+class CharListParser(cli._Parser):
+    """The spec parser reading `list:` literals one character at a time,
+    with a lookahead after each comma, as before the regular expression."""
+
+    def _int_follows(self) -> bool:
+        save = self.pos
+        self.pos += 1
+        self._skip_ws()
+        ch = self._peek()
+        ok = ch.isdecimal() or (ch in "+-" and self.pos + 1 < len(self.text)
+                                and self.text[self.pos + 1].isdecimal())
+        self.pos = save
+        return ok
+
+    def _ints(self) -> list[int]:
+        values = [self._int()]
+        self._skip_ws()
+        while self._peek() == "," and self._int_follows():
+            self.pos += 1
+            values.append(self._int())
+            self._skip_ws()
+        return values
 
 
 def run(capsys, *argv):
@@ -95,6 +121,39 @@ class TestParser:
 
     def test_decimal_digits_of_other_scripts_parse(self):
         assert parse_seqspec("list:٣,4").build().prefix(2) == [3, 4]
+
+    def test_list_classes_accept_what_the_char_reader_accepts(self):
+        # `list:` literals are read by a regular expression; its \d and \s
+        # must accept exactly the characters str.isdecimal and str.isspace
+        # accept, as the one-character readers `_int` and `_skip_ws` do,
+        # and str.strip must remove every such space before int() reads
+        digit, space = re.compile(r"\d"), re.compile(r"\s")
+        for code in range(sys.maxunicode + 1):
+            ch = chr(code)
+            assert bool(digit.match(ch)) == ch.isdecimal(), hex(code)
+            assert bool(space.match(ch)) == ch.isspace(), hex(code)
+            assert not ch.isspace() or (ch + "1" + ch).strip() == "1", hex(code)
+
+    @settings(max_examples=600, deadline=None)
+    @given(st.tuples(
+        st.sampled_from(["", "list:", "list:", "product(list:", "P(list:", "gab:"]),
+        st.lists(st.sampled_from(["1", "23", "٣", "²", "-", "+", ",", ",", " ", "\t",
+                                  "\x1c", "\u3000", "(", ")", "I", "x"]), max_size=12),
+        st.sampled_from(["", ")", ",I)", " "])).map(
+            lambda parts: parts[0] + "".join(parts[1]) + parts[2]))
+    def test_list_reader_matches_the_char_reader(self, text):
+        # the one-character reader the regular expression replaced is the
+        # oracle: the same values, or the same message at the same offset
+        def outcome():
+            try:
+                return ("ok", parse_seqspec(text))
+            except SpecParseError as exc:
+                return ("error", str(exc), exc.offset)
+
+        got = outcome()
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(cli, "_Parser", CharListParser)
+            assert got == outcome()
 
     def test_semantic_errors_surface_at_build(self):
         with pytest.raises(ZeroTermError) as exc:
@@ -360,6 +419,23 @@ class TestClassifyCommand:
         assert code == 0
         assert "per-prime 2: holds_to_bound" in out
         assert "per-prime 3: holds_to_bound" in out
+
+    @pytest.mark.parametrize("spec", ["fact", "list:1,2,6,1000003,5"])
+    def test_per_prime_bound_past_every_prime_of_the_terms(self, capsys, spec):
+        # no term has a prime between 1000 and 10^6 (1000003 is past both),
+        # so the reports are those at 1000; only the primes that divide a
+        # term get an exponent list, not each of the 78498 up to 10^6
+        argv = ["classify", spec, "--bound", "30", "--only", "binomid", "--per-prime"]
+        code, out, err = run(capsys, *argv, "1000")
+        tracemalloc.start()
+        try:
+            large = run(capsys, *argv, "1000000")
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert "per-prime 29: holds_to_bound" in out or "undecided" in out
+        assert large == (code, out.replace("prime bound 1000\n", "prime bound 1000000\n"), err)
+        assert peak < 10_000_000
 
     def test_profile_flag(self, capsys):
         code, out, _ = run(capsys, "classify", "fib", "--bound", "20",

@@ -15,6 +15,7 @@ and of the per-prime decomposition.
 """
 
 from fractions import Fraction
+from math import gcd
 
 import pytest
 from hypothesis import Phase, find, given, settings
@@ -198,14 +199,34 @@ def all_rows_is_binomid(f, bound):
     return binomid.classify._report("binomid", bound, witness, reduced, note)
 
 
-# terms over the primes 2, 3 and 5 times one of 1009 (a prime past the
-# residual step's cap that trial division still proves prime), 1009 * 1013
-# and 1000003 (neither factored below the cap): their rows reach the dual-gcd
-# step, the residual step and the kernel behind a residual that does not factor
+# primes past the residual step's cap (1000): 1009 is proved prime by trial
+# division, and 1009 * 1013, 1000003 and 2^89 - 1 reach refinement
+M89 = 2 ** 89 - 1
+# terms over the primes 2, 3 and 5 times one or two of them; 1009 and 1013
+# come apart in some terms and tied together in others, in a power of
+# 1009 * 1013 or in 1009^2 * 1013
 past_cap_terms = st.builds(
-    lambda e2, e3, e5, big, sign: sign * 2 ** e2 * 3 ** e3 * 5 ** e5 * big,
+    lambda e2, e3, e5, big, other, sign: sign * 2 ** e2 * 3 ** e3 * 5 ** e5 * big * other,
     st.integers(0, 3), st.integers(0, 2), st.integers(0, 1),
-    st.sampled_from([1, 1, 1, 1009, 1009 * 1013, 1000003]), st.sampled_from([1, -1]))
+    st.sampled_from([1, 1, 1, 1009, 1013, 1009 * 1013, 1009 ** 2 * 1013, 1000003, M89]),
+    st.sampled_from([1, 1, 1, 1009 * 1013, M89]), st.sampled_from([1, -1]))
+# terms in which 1009 and 1013 come tied together, and M89 with them
+tied_terms = st.builds(
+    lambda e2, e3, tied, sign: sign * 2 ** e2 * 3 ** e3 * tied,
+    st.integers(0, 3), st.integers(0, 2),
+    st.sampled_from([1, 1, 1009 * 1013, (1009 * 1013) ** 2, 1009 * 1013 * M89, M89]),
+    st.sampled_from([1, -1]))
+# 1009^x(i) * 1013^y(i) with x = y but at one or two indices, where x is
+# one more or one less: the pair comes tied in most terms and apart in a
+# few, so a refinement that misses a term, or the part of a term made of a
+# cofactor's primes, can split a cofactor wrongly
+pair_lists = st.lists(st.integers(0, 2), min_size=2, max_size=12).flatmap(
+    lambda ys: st.builds(
+        lambda moves, sign: [sign * 1009 ** max(0, y + moves.get(i, 0)) * 1013 ** y
+                             for i, y in enumerate(ys)],
+        st.dictionaries(st.integers(0, len(ys) - 1), st.sampled_from([1, -1]),
+                        min_size=1, max_size=2),
+        st.sampled_from([1, -1])))
 
 # signed lists, with zero terms that surface only when prefix reads them
 step_lists = st.one_of(
@@ -215,6 +236,8 @@ step_lists = st.one_of(
               integral_bases, signs, st.integers(1, 14)),
     st.lists(past_cap_terms, min_size=1, max_size=14),
     st.lists(past_cap_terms, max_size=13).map(lambda rest: [1, *rest]),
+    st.lists(tied_terms, max_size=13).map(lambda rest: [1, *rest]),
+    pair_lists,
 )
 # a list, whether is_binomid reads it through P(...), and a bound that may
 # run past its length
@@ -230,13 +253,13 @@ def routes_taken(values, divisor_product, bound):
     """The routes that decide is_binomid's rows over the list: "dual_gcd"
     for a row n >= 2 that the dual-gcd step certifies alone, "residual" for
     a row that the residual step certifies, and "unfactored" for a residual
-    that is not factored, which sends its row to the kernel."""
+    that trial division does not factor, whose cofactor is refined."""
     taken = set()
     certified = binomid.classify._certified
-    factor = binomid.classify._Residuals._factor
+    refine = binomid.classify._Residuals._refine
 
-    def spy_certified(t, n, residuals=None):
-        alone = certified(t, n)
+    def spy_certified(t, n, residuals):
+        alone = all(t[n] % gcd(t[k], t[n - k]) == 0 for k in range(1, n // 2 + 1))
         if n >= 2 and alone:
             taken.add("dual_gcd")
         passed = certified(t, n, residuals)
@@ -244,15 +267,13 @@ def routes_taken(values, divisor_product, bound):
             taken.add("residual")
         return passed
 
-    def spy_factor(res, r):
-        primes = factor(res, r)
-        if primes is None:
-            taken.add("unfactored")
-        return primes
+    def spy_refine(res, c):
+        taken.add("unfactored")
+        return refine(res, c)
 
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(binomid.classify, "_certified", spy_certified)
-        mp.setattr(binomid.classify._Residuals, "_factor", spy_factor)
+        mp.setattr(binomid.classify._Residuals, "_refine", spy_refine)
         outcome(lambda: is_binomid(step_sequence(values, divisor_product), bound))
     return taken
 
@@ -271,6 +292,20 @@ class TestStepAgainstAllRows:
         # the differential above is only as good as the routes its draws take
         find(step_inputs, lambda args: route in routes_taken(*args),
              settings=settings(max_examples=2000, database=None, phases=[Phase.generate]))
+
+    # 1009 and 1013 are tied in every term but one, as (exponent of 1009,
+    # exponent of 1013): refinement must split the pair by that term, the
+    # first in the first list, and must take all of 1009^3 * 1013^2 as the
+    # third term's part in the second, where one gcd with 1009 * 1013 does not
+    @pytest.mark.parametrize("pairs", [
+        [(1, 0), (2, 2), (1, 1), (1, 1)],
+        [(0, 0), (2, 2), (3, 2), (1, 1), (2, 2), (2, 2), (0, 0)],
+    ])
+    def test_refinement_splits_a_pair_by_one_term(self, pairs):
+        values = [1009 ** a * 1013 ** b for a, b in pairs]
+        rep = is_binomid(from_list(values), len(values))
+        assert not rep.holds()
+        assert rep == all_rows_is_binomid(from_list(values), len(values))
 
     @pytest.mark.parametrize("spec", [
         "I", "fact", "T", "fib", "cpow:3", "gq:2", "gab:5,2", "lucas:3,2",
@@ -314,7 +349,7 @@ def _corrupt_kernel(monkeypatch, at_n, at_k, delta):
 
 # two products of two primes past the residual step's cap (1000): trial
 # division up to the cap finds no factor of either, and each is too large to
-# be a prime left over, so a residual made of them sends its row to the kernel
+# be a prime left over, so a residual made of them is refined
 B2, B3 = 1009 * 1013, 1019 * 1021
 
 
@@ -328,23 +363,27 @@ def t_past_cap(n):
     return out * v
 
 
-def triangular_past_cap():
-    # B2 and B3 are coprime to each other and to the other primes of T, so
-    # the rows keep T's entries with 2 and 3 replaced, integral as T's are
-    return Sequence("t_past_cap", t_past_cap)
+def failing_past_cap():
+    # t_past_cap with f(8) = 7 * B2 in place of B2^2 * B3^2; B2 and B3 are
+    # coprime to each other and to the other primes of T, so rows 0 to 7
+    # keep T's entries with 2 and 3 replaced, integral as T's are, and
+    # [8 2] is the first entry that is not an integer
+    return Sequence("t_past_cap_8", lambda n: 7 * B2 if n == 8 else t_past_cap(n))
 
 
 class TestCrossCheckIsLive:
     # the dual-gcd step certifies every row of fib, I and 1..n, and the
     # residual step certifies the rows of T it rejects (their residuals are
-    # 2 and 3), so the kernel builds none of them; over T with 2 and 3
-    # replaced by B2 and B3 the dual-gcd step still rejects rows 4, 6, 7, 8
-    # and 10, no residual factors, and those rows (with rows 3 and 5 rebuilt
-    # to guard them) are the ones corrupted
+    # 2 and 3), so the kernel builds none of them; over failing_past_cap the
+    # dual-gcd step rejects rows 4, 6, 7 and 8, refinement certifies the
+    # first three and rejects row 8, and the kernel builds rows 7 and 8
+    # only: those are the rows corrupted
     def test_spurious_fraction_is_caught(self, monkeypatch):
-        _corrupt_kernel(monkeypatch, 4, 1, Fraction(1, 2))
-        with pytest.raises(InternalCheckError):
-            is_binomid(triangular_past_cap(), 6)
+        # a fraction at [8 1], before the true witness [8 2]
+        assert is_binomid(failing_past_cap(), 8).witness["k"] == 2
+        _corrupt_kernel(monkeypatch, 8, 1, Fraction(1, 2))
+        with pytest.raises(InternalCheckError, match="triangle row 8 fails the column identity"):
+            is_binomid(failing_past_cap(), 8)
 
     def test_hidden_fraction_is_caught(self, monkeypatch):
         # over (2, 3) the first non-integral entry is [2 1] = 3/2; the
@@ -357,33 +396,35 @@ class TestCrossCheckIsLive:
             is_binomid(f, 2)
 
     def test_classify_exits_3(self, capsys, monkeypatch):
-        _corrupt_kernel(monkeypatch, 4, 1, Fraction(1, 2))
-        spec = "list:" + ",".join(str(t_past_cap(n)) for n in range(1, 7))
-        code = main(["classify", spec, "--bound", "6"])
+        _corrupt_kernel(monkeypatch, 8, 1, Fraction(1, 2))
+        spec = "list:" + ",".join(map(str, failing_past_cap().prefix(8)))
+        code = main(["classify", spec, "--bound", "8"])
         captured = capsys.readouterr()
         assert code == 3
         assert captured.out == ""
-        assert captured.err == ("error: internal check failed: triangle row 4 "
+        assert captured.err == ("error: internal check failed: triangle row 8 "
                                 "fails the column identity\n")
 
     def test_mirrored_half_is_guarded(self, monkeypatch):
-        # [6 4] is a copy of [6 2] in the kernel's rows; change only the copy
+        # [8 6] is a copy of [8 2], the witness, in the kernel's rows;
+        # change only the copy
         original = binomid.classify._rows
 
         def corrupted(*args):
             for row in original(*args):
-                if len(row) == 7:
-                    row[4] += 1
+                if len(row) == 9:
+                    row[6] += 1
                 yield row
 
-        assert is_binomid(triangular_past_cap(), 8).holds()
+        assert is_binomid(failing_past_cap(), 8).witness["n"] == 8
         monkeypatch.setattr(binomid.classify, "_rows", corrupted)
-        with pytest.raises(InternalCheckError, match="row 6"):
-            is_binomid(triangular_past_cap(), 8)
+        with pytest.raises(InternalCheckError, match="row 8"):
+            is_binomid(failing_past_cap(), 8)
 
     def test_fractional_mirror_is_guarded(self, monkeypatch):
-        # a spurious fraction past the middle of a row, where the kernel
-        # never walks, is caught before it could become a witness
+        # a spurious fraction past the middle of row 7, the row before the
+        # witness row, where the kernel never walks, is caught before row 8
+        # is read against it
         original = binomid.classify._rows
 
         def corrupted(*args):
@@ -393,22 +434,20 @@ class TestCrossCheckIsLive:
                 yield row
 
         monkeypatch.setattr(binomid.classify, "_rows", corrupted)
-        with pytest.raises(InternalCheckError, match="row 7"):
-            is_binomid(triangular_past_cap(), 8)
+        with pytest.raises(InternalCheckError,
+                           match="triangle row 7 is certified but not integral"):
+            is_binomid(failing_past_cap(), 8)
 
     def test_unit_edge_is_guarded(self, monkeypatch):
-        # [4 0] = [4 4] = 2 keeps the row a palindrome and leaves every
+        # [8 0] = [8 8] = 2 keeps the row a palindrome and leaves every
         # 1 <= k <= n/2 alone, so only the unit edge catches it
-        _corrupt_kernel(monkeypatch, 4, 0, 1)
-        with pytest.raises(InternalCheckError, match="row 4"):
-            is_binomid(triangular_past_cap(), 6)
+        _corrupt_kernel(monkeypatch, 8, 0, 1)
+        with pytest.raises(InternalCheckError, match="row 8"):
+            is_binomid(failing_past_cap(), 8)
 
     def test_rows_stop_at_the_witness_row(self, monkeypatch):
-        # B2 ** a with the exponents of the two_pow_a fixture: the dual-gcd
-        # step rejects rows 4 and 6 and no residual factors; rows 3 and 5
-        # are rebuilt to guard them, and row 6 holds the witness
-        exponents = [0, 2, 4, 1, 3, 1]
-        f = Sequence("b2_pow_a", lambda n: B2 ** (exponents[n - 1] if n <= 6 else 4))
+        # the rows that refinement certifies (4, 6 and 7) are not built, nor
+        # any row past the witness row; rows 7 and 8 are built once
         built = []
         original = binomid.classify._rows
 
@@ -418,8 +457,18 @@ class TestCrossCheckIsLive:
                 yield row
 
         monkeypatch.setattr(binomid.classify, "_rows", counted)
-        assert is_binomid(f, 20).witness["n"] == 6
-        assert built == [3, 4, 5, 6]
+        assert is_binomid(failing_past_cap(), 20).witness["n"] == 8
+        assert built == [7, 8]
+
+    def test_rejected_row_must_hold_a_non_integer(self, monkeypatch):
+        # a step that wrongly rejects row 5 of fib is caught when the kernel
+        # builds that row and finds only integers
+        original = binomid.classify._certified
+        monkeypatch.setattr(binomid.classify, "_certified",
+                            lambda t, n, *step: n != 5 and original(t, n, *step))
+        with pytest.raises(InternalCheckError,
+                           match="triangle row 5 is rejected but integral"):
+            is_binomid(fibonacci(), 10)
 
     def test_residual_step_stops_the_kernel_rows(self, monkeypatch, two_pow_a):
         # over two_pow_a itself the residuals are powers of 2: the residual
