@@ -201,7 +201,7 @@ def is_binomid(f: Sequence, bound: int) -> ClassificationReport:
     of each term made of c's primes are split into a coprime base that
     generates each of them, so each term's part is a product of powers of
     the pieces, and the pieces hold exactly c's primes. No primality test
-    is needed, and no prime past the cap is ever found. Pieces already
+    is needed, and refinement never looks for a prime. Pieces already
     met divide a later residual only as powers of the whole piece, since a
     residual is a quotient of gcds of terms, and are divided out first.
 
