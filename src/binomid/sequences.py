@@ -1,7 +1,9 @@
 """The integer-sequence abstraction plus its constructors and combinators.
 
 Sequences are 1-indexed, lazily materialized, and memoized. Every
-materialized term must be a nonzero integer. Querying a finite sequence
+materialized term must be a nonzero integer. `P(...)` and the pointwise
+combinators also compute their terms in blocks, and a read of a missing
+term of theirs fills ahead to about twice its index. Querying a finite sequence
 past its end raises UndefinedTermError, which is deliberately distinct
 from the arithmetic failure of a rule producing zero.
 """
@@ -27,9 +29,17 @@ class _Terms(dict):
     terms are stored; an undefined index or a zero term raises on every
     read. The store holds the rule but never its `Sequence`, so scans may
     read it directly and no reference cycle keeps the terms alive.
+
+    A combinator or `P(...)` store also holds a block rule, `_block(lo,
+    hi)`, which returns the terms lo, lo+1, ... up to hi at once, or a
+    shorter list where an inner sequence could not give a term. A miss at
+    n then fills n..2n by the block rule (`_fill`) before n is read, so a
+    scan that reads 1..N in order computes at most about 2N terms. The
+    one-term rule still computes the index where a fill stopped, and so
+    raises there exactly what a read raised before blocks.
     """
 
-    __slots__ = ("_name", "_rule", "_length", "_lock")
+    __slots__ = ("_name", "_rule", "_length", "_lock", "_block")
 
     def __init__(self, name: str, rule: Callable[[int], int], length: int | None):
         super().__init__()
@@ -37,6 +47,7 @@ class _Terms(dict):
         self._rule = rule
         self._length = length
         self._lock = threading.RLock()
+        self._block = None
 
     def defined_at(self, n: int) -> bool:
         return n >= 1 and (self._length is None or n <= self._length)
@@ -45,6 +56,8 @@ class _Terms(dict):
         if not self.defined_at(n):
             raise UndefinedTermError(f"{self._name}: term {n} is undefined", index=n)
         with self._lock:
+            if self._block is not None:
+                self._fill(n, 2 * n)
             value = self.get(n)
             if value is None:
                 value = self._rule(n)
@@ -53,12 +66,47 @@ class _Terms(dict):
                 self[n] = value
         return value
 
+    def _fill(self, lo: int, hi: int) -> list[int]:
+        """The terms lo..hi, stored as they are computed, up to a failure.
+
+        Callers pass the first missing index as lo. A block rule computes
+        the range at once and stops quietly before the first index whose
+        term it cannot give, so the list is shorter, that index stays
+        missing and a read of it runs the one-term rule. Without a block
+        rule, the one-term rule computes each missing index in ascending
+        order, and its error at the failing index is raised at once.
+        Either way, every index before the failing one is stored and
+        nothing from it on. Indices past the sequence's end are never
+        filled.
+        """
+        if self._length is not None and hi > self._length:
+            hi = self._length
+        if lo > hi:
+            return []
+        with self._lock:
+            if self._block is not None:
+                values = self._block(lo, hi)
+                self.update(zip(range(lo, hi + 1), values))
+                return values
+            out = []
+            rule = self._rule
+            for n in range(lo, hi + 1):
+                value = self.get(n)
+                if value is None:
+                    value = rule(n)
+                    if value == 0:
+                        raise ZeroTermError(n)
+                    self[n] = value
+                out.append(value)
+            return out
+
 
 class Sequence:
     """A deterministic 1-indexed stream of nonzero integers.
 
     Terms come from `rule`, computed once each and kept in the sequence's
-    term store (`_Terms`).
+    term store (`_Terms`). A block rule, where a constructor attaches one
+    to the store, computes the same terms in bulk.
     """
 
     __slots__ = ("name", "length", "_terms", "__weakref__")
@@ -87,25 +135,43 @@ class Sequence:
     def prefix(self, count: int) -> list[int]:
         """The first `count` terms as a list.
 
-        The missing terms are computed in ascending order under one hold of
-        the store's lock, and a zero or undefined term raises what reading
-        the terms one by one raises.
+        The stored terms are read, and the rest computed by one fill from
+        the first missing index, by the block rule where the sequence has
+        one. Where a block stops, the one-term rule reads the index it
+        stopped at, so a zero or undefined term raises what reading the
+        terms one by one raises.
         """
         t = self._terms
         end = count if t._length is None else min(count, t._length)
-        out = []
-        with t._lock:
-            for n in range(1, end + 1):
-                value = t.get(n)
-                if value is None:
-                    value = t._rule(n)
-                    if value == 0:
-                        raise ZeroTermError(n)
-                    t[n] = value
-                out.append(value)
+        out = list(map(t.get, range(1, end + 1))) if t else []
+        i = out.index(None) if None in out else len(out)  # index i + 1 is missing
+        if i < end:
+            out[i:] = t._fill(i + 1, end)
+            if len(out) < end:  # a block stopped: the one-term rule reads that index
+                out += map(t.__getitem__, range(len(out) + 1, end + 1))
         if end < count:
             t[end + 1]  # undefined: raises as a single read does
         return out
+
+
+def _with_block(seq: Sequence, block: Callable[[int, int], list[int]]) -> Sequence:
+    # attached after construction, so `Sequence.__init__` keeps its signature
+    seq._terms._block = block
+    return seq
+
+
+def _run(f: Sequence, lo: int, hi: int) -> list[int]:
+    """f's terms lo..hi, up to the first index its fill could not store."""
+    t = f._terms
+    out = list(map(t.get, range(lo, hi + 1))) if t else []
+    i = out.index(None) if None in out else len(out)
+    if i <= hi - lo:
+        try:
+            out[i:] = t._fill(lo + i, hi)
+        except Exception:  # any error: the one-term read of that index raises it again
+            out = list(map(t.get, range(lo, hi + 1)))
+            del out[out.index(None):]
+    return out
 
 
 def from_list(values, name: str | None = None) -> Sequence:
@@ -203,7 +269,13 @@ def fibonacci() -> Sequence:
 
 
 def divisor_product_of(g: Sequence) -> Sequence:
-    """Term n is the product of g over all divisors of n, read ascending."""
+    """Term n is the product of g over all divisors of n, read ascending.
+
+    The block rule multiplies each g(d), d <= hi, into its multiples in
+    lo..hi: about (hi - lo) ln hi + hi products, and no divisor lists. It
+    stops before the first index of g that g's fill could not store; every
+    term before it has all its divisors there.
+    """
     from .numtheory import divisors  # only divisor products need numtheory
 
     def rule(n: int) -> int:
@@ -212,7 +284,17 @@ def divisor_product_of(g: Sequence) -> Sequence:
             total *= g._terms[d]
         return total
 
-    return Sequence(f"P({g.name})", rule, length=g.length)
+    def block(lo: int, hi: int) -> list[int]:
+        values = _run(g, 1, hi)
+        hi = min(hi, len(values))
+        out = [1] * (hi - lo + 1)
+        for d, v in enumerate(values, 1):
+            if v != 1:
+                for m in range(-(-lo // d) * d, hi + 1, d):
+                    out[m - lo] *= v
+        return out
+
+    return _with_block(Sequence(f"P({g.name})", rule, length=g.length), block)
 
 
 def _combined_length(f: Sequence, g: Sequence) -> int | None:
@@ -225,52 +307,74 @@ def _combined_length(f: Sequence, g: Sequence) -> int | None:
 
 # Combinator rules read the inner store `f._terms[n]`, which is all that
 # `f.term(n)` does: the same value and the same error, with one frame less
-# of recursion per level of nesting.
+# of recursion per level of nesting. Their block rules map the inner
+# blocks (`_run`), so they stop where an inner sequence stops.
 
 
 def product(f: Sequence, g: Sequence) -> Sequence:
     """Pointwise product."""
-    return Sequence(f"product({f.name},{g.name})",
-                    lambda n: f._terms[n] * g._terms[n],
-                    length=_combined_length(f, g))
+    def block(lo: int, hi: int) -> list[int]:
+        a = _run(f, lo, hi)
+        return [x * y for x, y in zip(a, _run(g, lo, lo + len(a) - 1))]
+
+    return _with_block(Sequence(f"product({f.name},{g.name})",
+                                lambda n: f._terms[n] * g._terms[n],
+                                length=_combined_length(f, g)), block)
 
 
 def scalar(c: int, f: Sequence) -> Sequence:
     """Pointwise multiple by a nonzero constant."""
     if c == 0:
         raise ValueError("scalar must be nonzero")
-    return Sequence(f"scalar({c},{f.name})", lambda n: c * f._terms[n], length=f.length)
+    return _with_block(Sequence(f"scalar({c},{f.name})", lambda n: c * f._terms[n],
+                                length=f.length),
+                       lambda lo, hi: [c * v for v in _run(f, lo, hi)])
 
 
 def prepend_one(f: Sequence) -> Sequence:
     """The sequence 1, f_1, f_2, ..."""
     length = None if f.length is None else f.length + 1
-    return Sequence(f"prepend1({f.name})",
-                    lambda n: 1 if n == 1 else f._terms[n - 1],
-                    length=length)
+    return _with_block(Sequence(f"prepend1({f.name})",
+                                lambda n: 1 if n == 1 else f._terms[n - 1],
+                                length=length),
+                       lambda lo, hi: [1] * (lo == 1) + _run(f, max(lo - 1, 1), hi - 1))
 
 
 def interleave_ones(f: Sequence) -> Sequence:
     """The sequence 1, f_1, 1, f_2, 1, f_3, ..."""
+    def block(lo: int, hi: int) -> list[int]:
+        k = (lo + 1) // 2  # f(k) is term 2k, the first even index >= lo
+        inner = _run(f, k, hi // 2)
+        hi = min(hi, 2 * (k + len(inner)) - 1)
+        return [1 if n % 2 else inner[n // 2 - k] for n in range(lo, hi + 1)]
+
     length = None if f.length is None else 2 * f.length
-    return Sequence(f"interleave1({f.name})",
-                    lambda n: 1 if n % 2 else f._terms[n // 2],
-                    length=length)
+    return _with_block(Sequence(f"interleave1({f.name})",
+                                lambda n: 1 if n % 2 else f._terms[n // 2],
+                                length=length), block)
 
 
 def double_terms(f: Sequence) -> Sequence:
     """The sequence f_1, f_1, f_2, f_2, ..."""
+    def block(lo: int, hi: int) -> list[int]:
+        k = (lo + 1) // 2  # term lo is f(k)
+        inner = _run(f, k, (hi + 1) // 2)
+        hi = min(hi, 2 * (k + len(inner)) - 2)
+        return [inner[(n + 1) // 2 - k] for n in range(lo, hi + 1)]
+
     length = None if f.length is None else 2 * f.length
-    return Sequence(f"double({f.name})",
-                    lambda n: f._terms[(n + 1) // 2],
-                    length=length)
+    return _with_block(Sequence(f"double({f.name})",
+                                lambda n: f._terms[(n + 1) // 2],
+                                length=length), block)
 
 
 def compose_power(e: int, f: Sequence) -> Sequence:
     """Pointwise e-th power; the canonical family of term-wise homomorphic maps."""
     if e < 0:
         raise ValueError("exponent must be nonnegative")
-    return Sequence(f"pow({e},{f.name})", lambda n: f._terms[n] ** e, length=f.length)
+    return _with_block(Sequence(f"pow({e},{f.name})", lambda n: f._terms[n] ** e,
+                                length=f.length),
+                       lambda lo, hi: [v ** e for v in _run(f, lo, hi)])
 
 
 def h_m(m: int) -> Sequence:

@@ -1,3 +1,5 @@
+from collections import Counter
+
 import pytest
 
 from binomid import Sequence, euler_phi
@@ -26,3 +28,24 @@ def w_ones_then_twos():
 @pytest.fixture
 def phi_seq():
     return Sequence("phi", euler_phi)
+
+
+@pytest.fixture(scope="session")
+def check_fill_calls():
+    """Check the rule calls of a sequence over `values` that block fills read.
+
+    `calls` holds (index, made by a fill) pairs and `highest` is the highest
+    index read. The distinct calls that fills make are 1..k' in order; an
+    index is called again only where the rule gave 0; no fill calls the rule
+    past that index; and k' <= 2 * highest + 1, since a miss at n fills at
+    most up to 2n.
+    """
+    def check(calls, values, highest):
+        distinct = list(dict.fromkeys(n for n, by_fill in calls if by_fill))
+        assert distinct == list(range(1, len(distinct) + 1))
+        repeated = [n for n, times in Counter(n for n, _ in calls).items() if times > 1]
+        assert all(values[n - 1] == 0 for n in repeated)
+        zeros = [n for n in distinct if values[n - 1] == 0]
+        assert not zeros or zeros[0] == len(distinct)
+        assert len(distinct) <= 2 * highest + 1
+    return check

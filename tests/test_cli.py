@@ -14,7 +14,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from binomid import (InternalCheckError, ZeroTermError, fibonacci, from_list,
+from binomid import (InternalCheckError, Sequence, ZeroTermError, fibonacci, from_list,
                      mobius_invert, pyramid, triangle)
 from binomid import classify as cls
 from binomid import cli
@@ -910,3 +910,40 @@ class TestNoDigitLimit:
             assert sys.get_int_max_str_digits() == 5000
             assert main_output("triangle")[0] == 2
             assert sys.get_int_max_str_digits() == 5000
+
+
+class TestFourParameterInitWrapper:
+    """A wrapper of `Sequence.__init__` that takes exactly (seq, name, rule,
+    length=None) and wraps the rule, as the benchmark's tracer does, builds
+    every spec kind and leaves every classify output unchanged."""
+
+    @staticmethod
+    def spec(kind, paths):
+        arg_kinds = cli._KINDS[kind][0]
+        args = [{"int": "2", "uint": "2", "ints": "1,2,3,6", "spec": "T"}.get(a)
+                or paths[kind] for a in arg_kinds]
+        if not args:
+            return kind
+        if "spec" in arg_kinds:
+            return f"{kind}({','.join(args)})"
+        return f"{kind}:{','.join(args)}"
+
+    def test_every_kind_classifies_the_same(self, monkeypatch, tmp_path, capsys):
+        (tmp_path / "plain.txt").write_text("1 2 3 6 6 12\n")
+        (tmp_path / "b.txt").write_text("1 1\n2 3\n3 6\n4 10\n")
+        paths = {"file": str(tmp_path / "plain.txt"), "bfile": str(tmp_path / "b.txt")}
+        specs = [self.spec(kind, paths) for kind in cli._KINDS]
+        expected = [run(capsys, "classify", spec, "--bound", "12") for spec in specs]
+        init = Sequence.__init__
+        rule_calls = []
+
+        def traced_init(seq, name, rule, length=None):
+            def traced_rule(n):
+                rule_calls.append(n)
+                return rule(n)
+            init(seq, name, traced_rule, length)
+
+        monkeypatch.setattr(Sequence, "__init__", traced_init)
+        for spec, want in zip(specs, expected):
+            assert run(capsys, "classify", spec, "--bound", "12") == want
+        assert rule_calls

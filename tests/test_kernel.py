@@ -15,10 +15,11 @@ and of the per-prime decomposition.
 """
 
 from fractions import Fraction
-from math import gcd
+from itertools import combinations
+from math import gcd, prod
 
 import pytest
-from hypothesis import Phase, find, given, settings
+from hypothesis import Phase, assume, find, given, settings
 from hypothesis import strategies as st
 
 import binomid.classify
@@ -318,6 +319,67 @@ class TestStepAgainstAllRows:
         build = parse_seqspec(spec).build
         assert (outcome(lambda: is_binomid(build(), 60))
                 == outcome(lambda: all_rows_is_binomid(build(), 60)))
+
+
+# Primes past the cap, with at most one Mersenne prime per draw so that
+# sympy factors every piece by trial division and a primality test
+M61 = 2 ** 61 - 1
+
+
+@st.composite
+def refinement_inputs(draw):
+    """t = [1, f(1), ..., f(m)] over drawn primes past the cap and small
+    cofactors, and a residual r: small primes times a power product of
+    some of the drawn primes. Each prime's exponents are tied to the first
+    prime's, apart from them at one index, or drawn freely."""
+    primes = (draw(st.lists(st.sampled_from([1009, 1013, 1019]), max_size=3, unique=True))
+              + draw(st.sampled_from([[], [M61], [M89]])))
+    assume(primes)
+    m = draw(st.integers(1, 8))
+    exponent_lists = st.lists(st.integers(0, 3), min_size=m, max_size=m)
+    first = draw(exponent_lists)
+    exponents = []
+    for _ in primes:
+        how = draw(st.sampled_from(["tied", "apart", "free"]))
+        e = draw(exponent_lists) if how == "free" else list(first)
+        if how == "apart":
+            i = draw(st.integers(0, m - 1))
+            e[i] = draw(st.integers(0, 3).filter(lambda x: x != first[i]))
+        exponents.append(e)
+    small = draw(st.lists(st.sampled_from([1, -1, 2, 6, -12, 997]), min_size=m, max_size=m))
+    terms = [small[i] * prod(p ** e[i] for p, e in zip(primes, exponents))
+             for i in range(m)]
+    chosen = draw(st.lists(st.sampled_from(primes), min_size=1, unique=True))
+    r = draw(st.sampled_from([1, 2, 6, 997])) * prod(
+        p ** draw(st.integers(1, 2)) for p in chosen)
+    return [1, *terms], r
+
+
+class TestResidualPieces:
+    """`_Residuals` checked alone against sympy's factorizations: the pieces
+    of a residual are pairwise coprime, hold exactly its primes, and the
+    sums S_q give every prime's valuation sums."""
+
+    @settings(max_examples=400, deadline=None)
+    @given(refinement_inputs())
+    def test_pieces_and_sums(self, drawn):
+        factorint = pytest.importorskip("sympy", minversion="1.13").factorint
+        t, r = drawn
+        res = binomid.classify._Residuals(t)
+        pieces = res._pieces(r)
+        assert all(q > 1 for q in pieces)
+        assert all(gcd(a, b) == 1 for a, b in combinations(pieces, 2))
+        factored = {q: factorint(q) for q in pieces}
+        assert set().union(*factored.values()) == set(factorint(r))
+        for q, primes in factored.items():
+            sums = res._sums(q)
+            for p, v_q in primes.items():
+                total = 0
+                for m, v in enumerate(t[1:], start=1):
+                    while v % p == 0:
+                        v //= p
+                        total += 1
+                    assert sums[m] * v_q == total
 
 
 class TestPerPrimeAgainstAllRows:

@@ -14,6 +14,7 @@ from binomid import (Sequence, UndefinedTermError, ZeroTermError,
                      fibonacci, from_list, g_ab, h_m, identity_seq,
                      interleave_ones, lucas, pascal_column, pascal_row,
                      power_seq, prepend_one, product, scalar, triangular_seq)
+from binomid.sequences import _Terms
 
 nonzero_ints = st.integers(-50, 50).filter(lambda v: v != 0)
 
@@ -272,9 +273,19 @@ class TestSequenceBehavior:
         assert x.prefix(5) == [1, 2, 4, 8, 16]
 
 
+def _called_by_fill():
+    """Is a term store's fill (`_Terms._fill`) on the caller's stack?"""
+    frame = sys._getframe(2)
+    while frame is not None and frame.f_code is not _Terms._fill.__code__:
+        frame = frame.f_back
+    return frame is not None
+
+
 class TestDivisorProductSieve:
-    """P(g) reads g in ascending divisor order and reports the same terms
-    and errors as a rule over trial-division divisors through `g.term`."""
+    """P(g) reports the same terms and errors as a rule over trial-division
+    divisors through `g.term`. Its block fills read g in ascending order
+    (`check_fill_calls`); a term read alone reads g in ascending divisor
+    order."""
 
     @staticmethod
     def trial_division_product(g):
@@ -288,7 +299,7 @@ class TestDivisorProductSieve:
     @staticmethod
     def logged(values, calls):
         def rule(n):
-            calls.append(n)
+            calls.append((n, _called_by_fill()))
             return values[n - 1]
         return Sequence("g", rule, length=len(values))
 
@@ -302,13 +313,14 @@ class TestDivisorProductSieve:
     @settings(max_examples=150, deadline=None)
     @given(st.lists(st.sampled_from([0, 1, -1, 2, 3, -5, 7]), min_size=1, max_size=80),
            st.lists(st.integers(-2, 90), max_size=30))
-    def test_same_terms_errors_and_reads_of_g(self, values, order):
+    def test_same_terms_errors_and_reads_of_g(self, check_fill_calls, values, order):
         sieve_calls, trial_calls = [], []
         sieved = divisor_product_of(self.logged(values, sieve_calls))
         trial = self.trial_division_product(self.logged(values, trial_calls))
         for n in order:
             assert self.read(sieved, n) == self.read(trial, n)
-        assert sieve_calls == trial_calls
+        check_fill_calls(sieve_calls, values,
+                         max((n for n in order if 1 <= n <= len(values)), default=0))
 
     def test_late_index_first_then_past_the_sieve(self):
         f = divisor_product_of(identity_seq())
@@ -435,6 +447,12 @@ class TestPrefixFill:
         assert seq.prefix(0) == []
 
     def test_threads_mixing_prefix_and_term_see_identical_values(self):
+        # on the rule's own store, and on the store of a block over it
+        for wrap in (lambda f: f, lambda f: scalar(1, f)):
+            self.mix_threads(wrap)
+
+    @staticmethod
+    def mix_threads(wrap):
         calls = Counter()
         count_lock = threading.Lock()
 
@@ -444,7 +462,7 @@ class TestPrefixFill:
             time.sleep(0.0002)  # widen the window between miss and store
             return 3 * n - 1
 
-        seq = Sequence("slow", rule)
+        seq = wrap(Sequence("slow", rule, length=60))
         start = threading.Barrier(8)
         results = []
 
@@ -476,3 +494,125 @@ class TestPrefixFill:
         assert len(results) == 8
         assert all(r == {n: 3 * n - 1 for n in range(1, 61)} for r in results)
         assert calls == Counter(range(1, 61))
+
+
+small_terms = st.lists(st.sampled_from([0, 1, -1, 2, 3, -2, 5]), min_size=1, max_size=16)
+
+
+def spec_trees(depth):
+    """Specs over finite recorded lists: ("list", values), ("raise", values,
+    r) whose rule raises ValueError at index r, and every combinator."""
+    leaf = st.one_of(st.tuples(st.just("list"), small_terms),
+                     st.tuples(st.just("raise"), small_terms, st.integers(1, 16)))
+    if depth == 0:
+        return leaf
+    inner = spec_trees(depth - 1)
+    return st.one_of(
+        leaf,
+        st.tuples(st.sampled_from(["P", "prepend1", "interleave1", "double"]), inner),
+        st.tuples(st.just("product"), inner, inner),
+        st.tuples(st.just("scalar"), st.sampled_from([-3, -1, 2]), inner),
+        st.tuples(st.just("pow"), st.integers(0, 3), inner))
+
+
+_UNARY = {"P": divisor_product_of, "prepend1": prepend_one,
+          "interleave1": interleave_ones, "double": double_terms}
+
+
+def build_tree(tree, nodes):
+    """The sequence of `tree`; every node is appended to `nodes`, inner first."""
+    kind = tree[0]
+    if kind in ("list", "raise"):
+        values, fail_at = tree[1], (tree[2] if kind == "raise" else None)
+
+        def rule(n):
+            if n == fail_at:
+                raise ValueError(f"no term {n}")
+            return values[n - 1]
+        seq = Sequence(kind, rule, length=len(values))
+    elif kind in _UNARY:
+        seq = _UNARY[kind](build_tree(tree[1], nodes))
+    elif kind == "product":
+        seq = product(build_tree(tree[1], nodes), build_tree(tree[2], nodes))
+    elif kind == "scalar":
+        seq = scalar(tree[1], build_tree(tree[2], nodes))
+    else:
+        seq = compose_power(tree[1], build_tree(tree[2], nodes))
+    nodes.append(seq)
+    return seq
+
+
+def one_term_tree(tree, nodes):
+    """`build_tree` with the block rules taken off: every term by its rule."""
+    seq = build_tree(tree, nodes)
+    for node in nodes:
+        node._terms._block = None
+    return seq
+
+
+@st.composite
+def read_orders(draw):
+    ascending = list(range(1, draw(st.integers(1, 40))))
+    kind = draw(st.sampled_from(["ascending", "late_first", "any"]))
+    if kind == "ascending":
+        return ascending
+    if kind == "late_first":
+        return [draw(st.integers(5, 70))] + ascending
+    return draw(st.lists(st.integers(-2, 70), max_size=20))
+
+
+class TestBlockRoute:
+    """Block fills give what the one-term rules give: the same terms, the
+    same first error (type, message and index), and a store holding only
+    one-term values, none of them at or past a failing index."""
+
+    @staticmethod
+    def read(read):
+        try:
+            return read()
+        except (ZeroTermError, UndefinedTermError, ValueError) as exc:
+            return type(exc), str(exc), getattr(exc, "index", None)
+
+    def first_failure(self, f, n):
+        """The first index >= n whose read by the one-term rule raises."""
+        while not isinstance(self.read(lambda: f.term(n)), tuple):
+            n += 1
+        return n
+
+    @settings(max_examples=400, deadline=None)
+    @given(spec_trees(3), read_orders(), st.integers(0, 70))
+    def test_same_terms_errors_and_store(self, tree, order, count):
+        nodes, oracle_nodes = [], []
+        f = build_tree(tree, nodes)
+        ref = one_term_tree(tree, [])
+        oracle = one_term_tree(tree, oracle_nodes)
+        for n in order:
+            before = set(f._terms)
+            assert self.read(lambda: f.term(n)) == self.read(lambda: ref.term(n))
+            # a read of n stores terms n..2n, up to the first failing index
+            stop = min(self.first_failure(oracle, n), 2 * n + 1)
+            assert set(f._terms) - before <= set(range(n, stop))
+        assert self.read(lambda: f.prefix(count)) == self.read(lambda: ref.prefix(count))
+        for node, oracle_node in zip(nodes, oracle_nodes):
+            for k, value in node._terms.items():
+                assert oracle_node.term(k) == value
+
+    @pytest.mark.parametrize("wrap", [lambda f: scalar(2, f), divisor_product_of,
+                                      lambda f: product(f, identity_seq())],
+                             ids=["scalar", "P", "product"])
+    def test_a_rule_error_inside_a_fill_is_raised_by_its_read(self, wrap):
+        def rule(n):
+            if n == 5:
+                raise ValueError("no term 5")
+            return n
+        f = wrap(Sequence("user", rule))
+        one_term = wrap(Sequence("user", rule))
+        one_term._terms._block = None
+        assert f.term(3) == one_term.term(3)  # the fill of 3..6 stops before 5
+        assert sorted(f._terms) == [3, 4]
+        for _ in range(2):
+            with pytest.raises(ValueError, match="no term 5"):
+                f.term(5)
+        assert f.term(6) == one_term.term(6)
+        with pytest.raises(ValueError, match="no term 5"):
+            f.prefix(8)
