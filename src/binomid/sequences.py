@@ -3,9 +3,10 @@
 Sequences are 1-indexed, lazily materialized, and memoized. Every
 materialized term must be a nonzero integer. `P(...)` and the pointwise
 combinators also compute their terms in blocks, and a read of a missing
-term of theirs fills ahead to about twice its index. Querying a finite sequence
-past its end raises UndefinedTermError, which is deliberately distinct
-from the arithmetic failure of a rule producing zero.
+term of theirs that follows the stored terms fills ahead to about twice its
+index. Querying a finite sequence past its end raises UndefinedTermError,
+which is deliberately distinct from the arithmetic failure of a rule
+producing zero.
 """
 
 from __future__ import annotations
@@ -33,10 +34,11 @@ class _Terms(dict):
     A combinator or `P(...)` store also holds a block rule, `_block(lo,
     hi)`, which returns the terms lo, lo+1, ... up to hi at once, or a
     shorter list where an inner sequence could not give a term. A miss at
-    n then fills n..2n by the block rule (`_fill`) before n is read, so a
-    scan that reads 1..N in order computes at most about 2N terms. The
-    one-term rule still computes the index where a fill stopped, and so
-    raises there exactly what a read raised before blocks.
+    n where n - 1 is stored (or n = 1) then fills n..2n by the block rule
+    (`_fill`) before n is read, so a scan that reads 1..N in order computes
+    at most about 2N terms; any other miss computes n alone. The one-term
+    rule computes the index where a fill stopped, and so raises there
+    exactly what a read raised before blocks.
     """
 
     __slots__ = ("_name", "_rule", "_length", "_lock", "_block")
@@ -56,7 +58,7 @@ class _Terms(dict):
         if not self.defined_at(n):
             raise UndefinedTermError(f"{self._name}: term {n} is undefined", index=n)
         with self._lock:
-            if self._block is not None:
+            if self._block is not None and (n == 1 or n - 1 in self):
                 self._fill(n, 2 * n)
             value = self.get(n)
             if value is None:
@@ -67,29 +69,32 @@ class _Terms(dict):
         return value
 
     def _fill(self, lo: int, hi: int) -> list[int]:
-        """The terms lo..hi, stored as they are computed, up to a failure.
+        """The terms lo..hi, read where stored and computed from the first
+        missing index on, up to a failure.
 
-        Callers pass the first missing index as lo. A block rule computes
-        the range at once and stops quietly before the first index whose
-        term it cannot give, so the list is shorter, that index stays
-        missing and a read of it runs the one-term rule. Without a block
-        rule, the one-term rule computes each missing index in ascending
-        order, and its error at the failing index is raised at once.
-        Either way, every index before the failing one is stored and
-        nothing from it on. Indices past the sequence's end are never
-        filled.
+        A block rule computes the missing range at once and stops quietly
+        before the first index whose term it cannot give, so the list is
+        shorter, that index stays missing and a read of it runs the
+        one-term rule. Without a block rule, the one-term rule computes
+        each missing index in ascending order, and its error at the
+        failing index is raised at once. Either way, every index before
+        the failing one is stored and nothing from it on. Indices past the
+        sequence's end are never filled.
         """
         if self._length is not None and hi > self._length:
             hi = self._length
-        if lo > hi:
-            return []
         with self._lock:
+            out = list(map(self.get, range(lo, hi + 1))) if lo in self else []
+            if None in out:
+                del out[out.index(None):]
+            lo += len(out)
+            if lo > hi:
+                return out
             if self._block is not None:
                 values = self._block(lo, hi)
                 self.update(zip(range(lo, hi + 1), values))
-                return values
-            out = []
-            rule = self._rule
+                return out + values
+            rule = self._rule  # `__missing__`'s lines inline: a call per term slows a small prefix
             for n in range(lo, hi + 1):
                 value = self.get(n)
                 if value is None:
@@ -135,20 +140,16 @@ class Sequence:
     def prefix(self, count: int) -> list[int]:
         """The first `count` terms as a list.
 
-        The stored terms are read, and the rest computed by one fill from
-        the first missing index, by the block rule where the sequence has
-        one. Where a block stops, the one-term rule reads the index it
-        stopped at, so a zero or undefined term raises what reading the
-        terms one by one raises.
+        One fill reads the stored terms and computes the rest, by the block
+        rule where the sequence has one. Where a block stops, the one-term
+        rule reads the index it stopped at, so a zero or undefined term
+        raises what reading the terms one by one raises.
         """
         t = self._terms
         end = count if t._length is None else min(count, t._length)
-        out = list(map(t.get, range(1, end + 1))) if t else []
-        i = out.index(None) if None in out else len(out)  # index i + 1 is missing
-        if i < end:
-            out[i:] = t._fill(i + 1, end)
-            if len(out) < end:  # a block stopped: the one-term rule reads that index
-                out += map(t.__getitem__, range(len(out) + 1, end + 1))
+        out = t._fill(1, end)
+        if len(out) < end:  # a block stopped: the one-term rule reads that index
+            out += map(t.__getitem__, range(len(out) + 1, end + 1))
         if end < count:
             t[end + 1]  # undefined: raises as a single read does
         return out
@@ -163,15 +164,12 @@ def _with_block(seq: Sequence, block: Callable[[int, int], list[int]]) -> Sequen
 def _run(f: Sequence, lo: int, hi: int) -> list[int]:
     """f's terms lo..hi, up to the first index its fill could not store."""
     t = f._terms
-    out = list(map(t.get, range(lo, hi + 1))) if t else []
-    i = out.index(None) if None in out else len(out)
-    if i <= hi - lo:
-        try:
-            out[i:] = t._fill(lo + i, hi)
-        except Exception:  # any error: the one-term read of that index raises it again
-            out = list(map(t.get, range(lo, hi + 1)))
-            del out[out.index(None):]
-    return out
+    try:
+        return t._fill(lo, hi)
+    except Exception:  # any error: the one-term read of that index raises it again
+        out = list(map(t.get, range(lo, hi + 1)))
+        del out[out.index(None):]
+        return out
 
 
 def from_list(values, name: str | None = None) -> Sequence:

@@ -34,18 +34,21 @@ def phi_seq():
 def check_fill_calls():
     """Check the rule calls of a sequence over `values` that block fills read.
 
-    `calls` holds (index, made by a fill) pairs and `highest` is the highest
-    index read. The distinct calls that fills make are 1..k' in order; an
-    index is called again only where the rule gave 0; no fill calls the rule
-    past that index; and k' <= 2 * highest + 1, since a miss at n fills at
-    most up to 2n.
+    `calls` holds (index, made by a fill) pairs in call order and `highest`
+    is the highest index read. A fill calls the rule at n only once 1..n-1
+    have all been called and gave nonzero terms, so the distinct calls that
+    fills make run up from the first missing index, in order, and no fill
+    calls past an index whose rule gave 0; an index is called again only
+    where the rule gave 0; and every call is at most 2 * highest + 1, since
+    a miss at n fills at most up to 2n.
     """
     def check(calls, values, highest):
-        distinct = list(dict.fromkeys(n for n, by_fill in calls if by_fill))
-        assert distinct == list(range(1, len(distinct) + 1))
+        stored = set()  # indices whose rule was called and gave a nonzero term
+        for n, by_fill in calls:
+            assert not by_fill or stored.issuperset(range(1, n))
+            if values[n - 1] != 0:
+                stored.add(n)
         repeated = [n for n, times in Counter(n for n, _ in calls).items() if times > 1]
         assert all(values[n - 1] == 0 for n in repeated)
-        zeros = [n for n in distinct if values[n - 1] == 0]
-        assert not zeros or zeros[0] == len(distinct)
-        assert len(distinct) <= 2 * highest + 1
+        assert max((n for n, _ in calls), default=0) <= 2 * highest + 1
     return check

@@ -3,6 +3,7 @@ import sys
 import threading
 import time
 from collections import Counter
+from math import prod
 
 import pytest
 from hypothesis import given, settings
@@ -318,7 +319,21 @@ class TestDivisorProductSieve:
         sieved = divisor_product_of(self.logged(values, sieve_calls))
         trial = self.trial_division_product(self.logged(values, trial_calls))
         for n in order:
+            start, was_stored = len(sieve_calls), n in sieved._terms
             assert self.read(sieved, n) == self.read(trial, n)
+            # A one-term read calls g at the divisors of n that no call of
+            # g stored yet, ascending, up to the first zero.
+            read_calls = sieve_calls[start:]
+            stored = {m for m, _ in sieve_calls[:start] if values[m - 1] != 0}
+            stored.update(m for m, by_fill in read_calls if by_fill and values[m - 1] != 0)
+            expected = []
+            if 1 <= n <= len(values) and not was_stored:
+                for d in divisors(n):
+                    if d not in stored:
+                        expected.append(d)
+                        if values[d - 1] == 0:
+                            break
+            assert [m for m, by_fill in read_calls if not by_fill] == expected
         check_fill_calls(sieve_calls, values,
                          max((n for n in order if 1 <= n <= len(values)), default=0))
 
@@ -589,13 +604,28 @@ class TestBlockRoute:
         for n in order:
             before = set(f._terms)
             assert self.read(lambda: f.term(n)) == self.read(lambda: ref.term(n))
-            # a read of n stores terms n..2n, up to the first failing index
+            # a read of n that follows the stored terms stores n..2n, up to
+            # the first failing index; any other read stores n alone
             stop = min(self.first_failure(oracle, n), 2 * n + 1)
+            if n != 1 and n - 1 not in before:
+                stop = min(stop, n + 1)
             assert set(f._terms) - before <= set(range(n, stop))
         assert self.read(lambda: f.prefix(count)) == self.read(lambda: ref.prefix(count))
         for node, oracle_node in zip(nodes, oracle_nodes):
             for k, value in node._terms.items():
                 assert oracle_node.term(k) == value
+
+    def test_a_lone_or_descending_read_does_not_fill_ahead(self):
+        g = identity_seq()
+        f = divisor_product_of(g)
+        n = 10 ** 5
+        assert f.term(n) == prod(divisors(n))
+        assert list(f._terms) == [n]
+        assert sorted(g._terms) == divisors(n)
+        f = scalar(3, triangular_seq())
+        for n in range(400, 300, -1):
+            assert f.term(n) == 3 * n * (n + 1) // 2
+        assert sorted(f._terms) == list(range(301, 401))
 
     @pytest.mark.parametrize("wrap", [lambda f: scalar(2, f), divisor_product_of,
                                       lambda f: product(f, identity_seq())],
@@ -608,8 +638,9 @@ class TestBlockRoute:
         f = wrap(Sequence("user", rule))
         one_term = wrap(Sequence("user", rule))
         one_term._terms._block = None
+        assert f.term(1) == one_term.term(1)  # fills 1..2
         assert f.term(3) == one_term.term(3)  # the fill of 3..6 stops before 5
-        assert sorted(f._terms) == [3, 4]
+        assert sorted(f._terms) == [1, 2, 3, 4]
         for _ in range(2):
             with pytest.raises(ValueError, match="no term 5"):
                 f.term(5)
