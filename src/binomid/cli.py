@@ -40,7 +40,7 @@ __all__ = ["SeqSpec", "SpecParseError", "ingest_bfile", "main", "parse_seqspec"]
 
 
 class SpecParseError(ValueError):
-    """Syntax error in a sequence expression, with a byte offset."""
+    """Syntax error in a sequence expression, with its UTF-8 byte offset."""
 
     def __init__(self, message: str, offset: int):
         super().__init__(message)
@@ -111,9 +111,19 @@ class SeqSpec:
                          for a in self.args))
 
 
-# a "list:" literal: `\d` and `\s` accept what str.isdecimal and
-# str.isspace accept, which `_int` and `_skip_ws` read one character at a time
-_INTS = re.compile(r"\s*[+-]?\d+(?:\s*,\s*[+-]?\d+)*\s*")
+# Every token of a spec: kind -> (pattern, the message its absence raises
+# at the offset after the whitespace `_SPACE` skips). `\s`, `\d` and `\w`
+# accept exactly what str.isspace, str.isdecimal and str.isalnum() or "_"
+# accept. An "ints" list is greedy: a comma continues it only when an
+# integer comes next.
+_TOKENS = {kind: (re.compile(token), message) for kind, token, message in (
+    ("name", r"\w+", "expected a sequence expression"),
+    ("int", r"[+-]?\d+", "expected an integer"),
+    ("uint", r"\d+", "expected a nonnegative integer"),
+    ("ints", r"[+-]?\d+(?:\s*,\s*[+-]?\d+)*", "expected an integer"),
+    ("path", r"[^,()\s]+", "expected a file path"),
+)}
+_SPACE = re.compile(r"\s*")
 
 
 class _Parser:
@@ -122,63 +132,29 @@ class _Parser:
         self.pos = 0
 
     def error(self, message: str, offset: int | None = None):
-        raise SpecParseError(message, self.pos if offset is None else offset)
+        """Raise at character `offset` (default: here), given in UTF-8 bytes; a
+        character UTF-8 cannot encode, such as an undecodable argv byte, is 1."""
+        head = self.text[:self.pos if offset is None else offset]
+        raise SpecParseError(message, len(head.encode("utf-8", "replace")))
 
-    def _skip_ws(self) -> None:
-        while self.pos < len(self.text) and self.text[self.pos].isspace():
-            self.pos += 1
-
-    def _peek(self) -> str:
-        return self.text[self.pos] if self.pos < len(self.text) else ""
+    def _next(self) -> str:
+        """Skip whitespace; the character that follows, or "" at the end."""
+        self.pos = _SPACE.match(self.text, self.pos).end()
+        return self.text[self.pos:self.pos + 1]
 
     def _expect(self, ch: str) -> None:
-        self._skip_ws()
-        if self._peek() != ch:
+        if self._next() != ch:
             self.error(f"expected {ch!r}")
         self.pos += 1
 
-    def _ident(self) -> tuple[str, int]:
-        self._skip_ws()
-        start = self.pos
-        while self.pos < len(self.text) and (self.text[self.pos].isalnum()
-                                             or self.text[self.pos] == "_"):
-            self.pos += 1
-        if start == self.pos:
-            self.error("expected a sequence expression")
-        return self.text[start:self.pos], start
-
-    def _int(self, signed: bool = True) -> int:
-        self._skip_ws()
-        start = self.pos
-        if signed and self._peek() in "+-":
-            self.pos += 1
-        digits = self.pos
-        while self.pos < len(self.text) and self.text[self.pos].isdecimal():
-            self.pos += 1
-        if self.pos == digits:
-            self.error("expected an integer" if signed
-                       else "expected a nonnegative integer", start)
-        return int(self.text[start:self.pos])
-
-    def _path(self) -> str:
-        self._skip_ws()
-        start = self.pos
-        while (self.pos < len(self.text)
-               and self.text[self.pos] not in ",()"
-               and not self.text[self.pos].isspace()):
-            self.pos += 1
-        if start == self.pos:
-            self.error("expected a file path")
-        return self.text[start:self.pos]
-
-    def _ints(self) -> list[int]:
-        # the greedy list: a comma continues it only when an integer comes next
-        match = _INTS.match(self.text, self.pos)
+    def _token(self, kind: str) -> str:
+        pattern, message = _TOKENS[kind]
+        self._next()
+        match = pattern.match(self.text, self.pos)
         if match is None:
-            self._int()  # raises with the offset of the missing integer
+            self.error(message)
         self.pos = match.end()
-        # int() strips less than str.isspace accepts (not U+001C to U+001F)
-        return [int(item.strip()) for item in match.group().split(",")]
+        return match[0]
 
     def _args(self, arg_kinds, level: int) -> tuple:
         args = []
@@ -188,18 +164,17 @@ class _Parser:
             if kind == "spec":
                 args.append(self.spec(level))
             elif kind == "path":
-                args.append(self._path())
-            elif kind == "ints":
-                args += self._ints()
+                args.append(self._token(kind))
             else:
-                args.append(self._int(kind != "uint"))
+                # int() strips less than str.isspace accepts (not U+001C to U+001F)
+                args += [int(item.strip()) for item in self._token(kind).split(",")]
         return tuple(args)
 
     def spec(self, level: int = 0) -> SeqSpec:
         """One expression, `level` combinators deep."""
-        name, start = self._ident()
-        self._skip_ws()
-        nxt = self._peek()
+        name = self._token("name")
+        start = self.pos - len(name)
+        nxt = self._next()
         arg_kinds = _KINDS[name][0] if name in _KINDS else None
         if arg_kinds and "spec" in arg_kinds and nxt == "(":
             if level >= _MAX_NESTING:
@@ -217,13 +192,12 @@ class _Parser:
 
 
 def parse_seqspec(text: str) -> SeqSpec:
-    """Parse a sequence expression; syntax errors carry a byte offset."""
-    if not text or not text.strip():
-        raise SpecParseError("empty sequence expression", 0)
+    """Parse a sequence expression; syntax errors carry a UTF-8 byte offset."""
     parser = _Parser(text)
+    if not text.strip():
+        parser.error("empty sequence expression", 0)
     node = parser.spec()
-    parser._skip_ws()
-    if parser.pos != len(text):
+    if parser._next():
         parser.error("unexpected trailing input")
     return node
 

@@ -2,7 +2,6 @@ import contextlib
 import io
 import json
 import os
-import re
 import subprocess
 import sys
 import tracemalloc
@@ -23,11 +22,66 @@ from binomid.cli import (SeqSpec, SpecParseError, _build_arg_parser,
 from binomid.core import _rows
 
 
-class CharListParser(cli._Parser):
-    """The spec parser reading `list:` literals one character at a time,
-    with a lookahead after each comma, as before the regular expression."""
+class CharParser:
+    """The spec parser before the token table, kept as the oracle: it reads
+    one character at a time, with a lookahead after each comma of a `list:`
+    literal, and its offsets count characters, not bytes."""
 
-    def _int_follows(self) -> bool:
+    def __init__(self, text: str):
+        self.text = text
+        self.pos = 0
+
+    def error(self, message, offset=None):
+        raise SpecParseError(message, self.pos if offset is None else offset)
+
+    def _skip_ws(self):
+        while self.pos < len(self.text) and self.text[self.pos].isspace():
+            self.pos += 1
+
+    def _peek(self):
+        return self.text[self.pos] if self.pos < len(self.text) else ""
+
+    def _expect(self, ch):
+        self._skip_ws()
+        if self._peek() != ch:
+            self.error(f"expected {ch!r}")
+        self.pos += 1
+
+    def _ident(self):
+        self._skip_ws()
+        start = self.pos
+        while self.pos < len(self.text) and (self.text[self.pos].isalnum()
+                                             or self.text[self.pos] == "_"):
+            self.pos += 1
+        if start == self.pos:
+            self.error("expected a sequence expression")
+        return self.text[start:self.pos], start
+
+    def _int(self, signed=True):
+        self._skip_ws()
+        start = self.pos
+        if signed and self._peek() in "+-":
+            self.pos += 1
+        digits = self.pos
+        while self.pos < len(self.text) and self.text[self.pos].isdecimal():
+            self.pos += 1
+        if self.pos == digits:
+            self.error("expected an integer" if signed
+                       else "expected a nonnegative integer", start)
+        return int(self.text[start:self.pos])
+
+    def _path(self):
+        self._skip_ws()
+        start = self.pos
+        while (self.pos < len(self.text)
+               and self.text[self.pos] not in ",()"
+               and not self.text[self.pos].isspace()):
+            self.pos += 1
+        if start == self.pos:
+            self.error("expected a file path")
+        return self.text[start:self.pos]
+
+    def _int_follows(self):
         save = self.pos
         self.pos += 1
         self._skip_ws()
@@ -37,7 +91,7 @@ class CharListParser(cli._Parser):
         self.pos = save
         return ok
 
-    def _ints(self) -> list[int]:
+    def _ints(self):
         values = [self._int()]
         self._skip_ws()
         while self._peek() == "," and self._int_follows():
@@ -45,6 +99,131 @@ class CharListParser(cli._Parser):
             values.append(self._int())
             self._skip_ws()
         return values
+
+    def _args(self, arg_kinds, level):
+        args = []
+        for i, kind in enumerate(arg_kinds):
+            if i:
+                self._expect(",")
+            if kind == "spec":
+                args.append(self.spec(level))
+            elif kind == "path":
+                args.append(self._path())
+            elif kind == "ints":
+                args += self._ints()
+            else:
+                args.append(self._int(kind != "uint"))
+        return tuple(args)
+
+    def spec(self, level=0):
+        name, start = self._ident()
+        self._skip_ws()
+        nxt = self._peek()
+        arg_kinds = cli._KINDS[name][0] if name in cli._KINDS else None
+        if arg_kinds and "spec" in arg_kinds and nxt == "(":
+            if level >= 100:
+                self.error("spec nested deeper than 100 levels", start)
+            self.pos += 1
+            args = self._args(arg_kinds, level + 1)
+            self._expect(")")
+            return SeqSpec(name, args)
+        if arg_kinds and "spec" not in arg_kinds and nxt == ":":
+            self.pos += 1
+            return SeqSpec(name, self._args(arg_kinds, level))
+        if arg_kinds == ():
+            return SeqSpec(name)
+        self.error(f"unknown name {name!r}", start)
+
+
+def char_parse_seqspec(text):
+    if not text or not text.strip():
+        raise SpecParseError("empty sequence expression", 0)
+    parser = CharParser(text)
+    node = parser.spec()
+    parser._skip_ws()
+    if parser.pos != len(text):
+        parser.error("unexpected trailing input")
+    return node
+
+
+# characters that the token classes must treat as the one-character
+# readers do: other scripts' digits, a superscript, non-ASCII spaces, a
+# space that int() does not strip, a letter, and the grammar's punctuation
+MUTATION_CHARS = ["\u0663", "\u00b2", "\u3000", "\x1c", "\t", "\u00e9", "_",
+                  "(", ")", ",", ":", "+", "-"]
+SPACES = st.sampled_from(["", "", " ", "\t", "\u3000", "\x1c"])
+
+
+def _spaced(parts, sep):
+    """The parts joined by `sep`, with drawn whitespace around each part."""
+    return st.tuples(*[st.tuples(SPACES, part, SPACES).map("".join) for part in parts]
+                     ).map(sep.join)
+
+
+def _arg_text(kind, child):
+    if kind == "spec":
+        return child
+    if kind == "path":
+        return st.sampled_from(["p", "d/f.txt", "a-b:c", "\u00e9"])
+    if kind == "ints":
+        return st.lists(st.integers(-12, 12).map(str), min_size=1, max_size=4).flatmap(
+            lambda items: _spaced([st.just(item) for item in items], ","))
+    return st.integers(-3 if kind == "int" else 0, 12).map(str)
+
+
+def grammar_texts():
+    """Specs of every kind in `cli._KINDS`, nested up to four combinators
+    deep: with at most 8 leaves, st.recursive applies `extend` four times."""
+    leaves, combinators = [], []
+    for kind, (arg_kinds, _) in cli._KINDS.items():
+        if "spec" in arg_kinds:
+            combinators.append((kind, arg_kinds))
+        elif not arg_kinds:
+            leaves.append(st.just(kind))
+        else:
+            leaves.append(_spaced([_arg_text(k, None) for k in arg_kinds], ",").map(
+                lambda args, kind=kind: f"{kind}:{args}"))
+
+    def extend(child):
+        return st.one_of([
+            _spaced([_arg_text(k, child) for k in arg_kinds], ",").map(
+                lambda args, kind=kind: f"{kind}({args})")
+            for kind, arg_kinds in combinators])
+
+    return st.recursive(st.one_of(leaves), extend, max_leaves=8)
+
+
+@st.composite
+def mutated(draw, texts):
+    """A drawn text with up to three characters inserted, replaced or deleted."""
+    text = draw(texts)
+    for _ in range(draw(st.integers(0, 3))):
+        i = draw(st.integers(0, len(text)))
+        ch = draw(st.sampled_from(MUTATION_CHARS))
+        text = draw(st.sampled_from([text[:i] + ch + text[i:],
+                                     text[:i] + ch + text[i + 1:],
+                                     text[:i] + text[i + 1:]]))
+    return text
+
+
+list_texts = st.tuples(
+    st.sampled_from(["", "list:", "list:", "product(list:", "P(list:", "gab:"]),
+    st.lists(st.sampled_from(["1", "23", "٣", "²", "-", "+", ",", ",", " ", "\t",
+                              "\x1c", "\u3000", "(", ")", "I", "x"]), max_size=12),
+    st.sampled_from(["", ")", ",I)", " "])).map(
+        lambda parts: parts[0] + "".join(parts[1]) + parts[2])
+
+
+def parse_outcome(parse, text):
+    """The spec, or the error's message and UTF-8 byte offset; `parse` gives
+    its offsets in characters when it is the oracle."""
+    try:
+        return ("ok", parse(text))
+    except SpecParseError as exc:
+        offset = exc.offset
+        if parse is char_parse_seqspec:
+            offset = len(text[:offset].encode("utf-8", "replace"))
+        return ("error", str(exc), offset)
 
 
 def run(capsys, *argv):
@@ -123,37 +302,40 @@ class TestParser:
         assert parse_seqspec("list:٣,4").build().prefix(2) == [3, 4]
 
     def test_list_classes_accept_what_the_char_reader_accepts(self):
-        # `list:` literals are read by a regular expression; its \d and \s
-        # must accept exactly the characters str.isdecimal and str.isspace
-        # accept, as the one-character readers `_int` and `_skip_ws` do,
-        # and str.strip must remove every such space before int() reads
-        digit, space = re.compile(r"\d"), re.compile(r"\s")
+        # every token is read by a pattern of `cli._TOKENS`; its \s, \d and
+        # \w must accept exactly the characters str.isspace, str.isdecimal
+        # and str.isalnum() or "_" accept, as the one-character readers of
+        # `CharParser` do, and str.strip must remove every such space before
+        # int() reads an integer
+        def reads(kind, ch):
+            return cli._TOKENS[kind][0].match(ch) is not None
+
         for code in range(sys.maxunicode + 1):
             ch = chr(code)
-            assert bool(digit.match(ch)) == ch.isdecimal(), hex(code)
-            assert bool(space.match(ch)) == ch.isspace(), hex(code)
+            assert reads("uint", ch) == ch.isdecimal(), hex(code)
+            assert reads("name", ch) == (ch.isalnum() or ch == "_"), hex(code)
+            assert reads("path", ch) == (ch not in ",()" and not ch.isspace()), hex(code)
+            assert (cli._SPACE.match(ch).end() == 1) == ch.isspace(), hex(code)
             assert not ch.isspace() or (ch + "1" + ch).strip() == "1", hex(code)
 
-    @settings(max_examples=600, deadline=None)
-    @given(st.tuples(
-        st.sampled_from(["", "list:", "list:", "product(list:", "P(list:", "gab:"]),
-        st.lists(st.sampled_from(["1", "23", "٣", "²", "-", "+", ",", ",", " ", "\t",
-                                  "\x1c", "\u3000", "(", ")", "I", "x"]), max_size=12),
-        st.sampled_from(["", ")", ",I)", " "])).map(
-            lambda parts: parts[0] + "".join(parts[1]) + parts[2]))
-    def test_list_reader_matches_the_char_reader(self, text):
-        # the one-character reader the regular expression replaced is the
-        # oracle: the same values, or the same message at the same offset
-        def outcome():
-            try:
-                return ("ok", parse_seqspec(text))
-            except SpecParseError as exc:
-                return ("error", str(exc), exc.offset)
+    @settings(max_examples=1500, deadline=None)
+    @given(st.one_of(list_texts, mutated(grammar_texts())))
+    def test_parser_matches_the_char_reader(self, text):
+        # the one-character reader the token table replaced is the oracle:
+        # the same spec, or the same message at the same byte offset
+        assert parse_outcome(parse_seqspec, text) == parse_outcome(char_parse_seqspec, text)
 
-        got = outcome()
-        with pytest.MonkeyPatch.context() as mp:
-            mp.setattr(cli, "_Parser", CharListParser)
-            assert got == outcome()
+    # offsets count UTF-8 bytes: U+0663 and U+3000 take 2 and 3, and a byte
+    # that argv could not decode (here 0xff) counts as the 1 byte it was
+    @pytest.mark.parametrize("text, message", [
+        ("list:\u0663,x", "unexpected trailing input (byte offset 7)"),
+        ("\u3000nope", "unknown name 'nope' (byte offset 3)"),
+        (b"file:\xffx)".decode("utf-8", "surrogateescape"),
+         "unexpected trailing input (byte offset 7)"),
+    ])
+    def test_offsets_count_utf8_bytes(self, capsys, text, message):
+        code, out, err = run(capsys, "triangle", text, "--rows", "1")
+        assert (code, out, err) == (2, "", f"error: {message}\n")
 
     def test_semantic_errors_surface_at_build(self):
         with pytest.raises(ZeroTermError) as exc:

@@ -382,6 +382,43 @@ class TestResidualPieces:
                     assert sums[m] * v_q == total
 
 
+class TestCertifyAgainstKnuthWilf:
+    """Each (n, k) the residual step decides, against the power of each
+    prime p in [n k] as Knuth and Wilf count it, S_p(n) - S_p(k) -
+    S_p(n-k), from sympy's factorizations of the terms, and against
+    whether `fbinom` gives an integer."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(step_inputs)
+    def test_each_decided_k(self, args):
+        factorint = pytest.importorskip("sympy", minversion="1.13").factorint
+        values, divisor_product, bound = args
+        f = step_sequence(values, divisor_product)
+        certify = binomid.classify._Residuals.certify
+        decided = []
+
+        def spy(res, n, k, r):
+            verdict = certify(res, n, k, r)
+            decided.append((res.t, n, k, r, verdict))
+            return verdict
+
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(binomid.classify._Residuals, "certify", spy)
+            outcome(lambda: is_binomid(f, bound))
+        factored = {}
+        for t, n, k, r, verdict in decided:
+            for v in t[1:n + 1]:
+                if v not in factored:
+                    factored[v] = factorint(abs(v))
+
+            def s(p, m):
+                return sum(factored[v].get(p, 0) for v in t[1:m + 1])
+
+            assert verdict == all(s(p, n) - s(p, k) - s(p, n - k) >= 0
+                                  for p in factorint(r)), (t, n, k, r)
+            assert verdict == (fbinom(f, n, k).denominator == 1), (t, n, k, r)
+
+
 class TestPerPrimeAgainstAllRows:
     # per_prime_decomposition cross-checks its conjunction against the
     # battery's binomid verdict, which the residual step now reads off the

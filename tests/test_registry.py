@@ -9,7 +9,7 @@ from pathlib import Path
 import pytest
 
 from binomid import classify, identity_seq
-from binomid.cli import _KINDS, main
+from binomid.cli import _KINDS, _TOKENS, main
 
 README = Path(__file__).resolve().parents[1] / "README.md"
 
@@ -23,6 +23,13 @@ def test_only_rejection_lists_the_battery(capsys):
     assert main(["classify", "I", "--bound", "5", "--only", "sparkly"]) == 2
     listed = capsys.readouterr().err.strip().split("choose from ")[1].split(", ")
     assert sorted(listed) == sorted(classify.PROPERTIES + ("binomid_every_level",))
+
+
+def test_every_argument_kind_has_one_token():
+    # a kind with no token, or a token no kind reads, is a grammar out of step
+    # with its table; the dict keeps each kind to one pattern
+    kinds = {kind for arg_kinds, _ in _KINDS.values() for kind in arg_kinds}
+    assert kinds - {"spec"} == set(_TOKENS) - {"name"}
 
 
 def test_readme_grammar_names_every_kind():
