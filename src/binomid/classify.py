@@ -18,7 +18,7 @@ from . import _EXPORTS
 from .core import _rows, col_seq, pyramid, triangle
 from .errors import InternalCheckError, NonIntegralEntryError
 from .numtheory import divisors, primes_up_to, smallest_prime_factors
-from .sequences import Sequence
+from .sequences import Sequence, _run
 
 HOLDS = "holds_to_bound"
 FAILS = "fails"
@@ -81,25 +81,49 @@ def _certified(t: list[int], n: int, residuals: _Residuals) -> bool:
 _PRIME_CAP = 1000  # the residual step trial-divides residuals by the primes up to this
 
 
+class _PieceTable:
+    """The pieces that the residual steps over one base sequence share: each
+    residual's pieces, the pieces met so far in the order met, and the
+    base's terms that factor refinement reads, fetched by `read` on first
+    need. `is_binomid` keeps one over its own terms; the columns of one
+    `is_binomid_every_level` share one over f's terms."""
+
+    __slots__ = ("pieces", "met", "_read", "_terms")
+
+    def __init__(self, read):
+        self.pieces = {}  # residual -> its pieces
+        self.met = {}  # piece -> None, in the order the pieces are met
+        self._read = read
+        self._terms = None
+
+    def terms(self) -> list[int]:
+        if self._terms is None:
+            self._terms = self._read()
+        return self._terms
+
+
 class _Residuals:
     """The residual step of one `is_binomid` call over `t[i]` = f(i): the
-    pieces of each residual, and the partial sums S_q of their exponents.
+    pieces of each residual, from a piece table, and the partial sums S_q
+    of their exponents over t.
 
-    The pieces met in one call are pairwise coprime, and every term is
-    q^e * u with gcd(u, q) = 1 for each piece q: a prime, or a product of
-    primes past the cap that refinement (`_refine`) ties together.
+    The pieces in the table are pairwise coprime, and every term of its
+    base is q^e * u with gcd(u, q) = 1 for each piece q: a prime, or a
+    product of primes past the cap that refinement (`_refine`) ties
+    together. Without a table the base is t itself.
     """
 
     primes = None  # the primes up to the cap: the same for every call, listed on first use
 
-    def __init__(self, t: list[int]):
+    def __init__(self, t: list[int], table: _PieceTable | None = None):
         self.t = t
-        self.sums = {}  # q -> [S_q(0), ..., S_q(len(t) - 1)], in the order the pieces are seen
-        self.pieces = {}  # residual -> its pieces
+        self.sums = {}  # q -> [S_q(0), ..., S_q(len(t) - 1)]
+        self.table = _PieceTable(lambda: t[1:]) if table is None else table
 
     def certify(self, n: int, k: int, r: int) -> bool:
         """Is [n k] an integer, given that row n-1 is and r = r_k?"""
-        pieces = self.pieces[r] if r in self.pieces else self._pieces(r)
+        table = self.table
+        pieces = table.pieces[r] if r in table.pieces else self._pieces(r)
         for q in pieces:
             s = self.sums[q] if q in self.sums else self._sums(q)
             if s[n] < s[k] + s[n - k]:
@@ -107,10 +131,11 @@ class _Residuals:
         return True
 
     def _pieces(self, r: int) -> list[int]:
-        # r is a quotient of gcds of terms, so each piece met before
-        # divides it only as a power of the whole piece
+        # r is a quotient of gcds of terms, each a power of a piece met
+        # before times a part prime to it, so such a piece divides r only
+        # as a power of the whole piece
         key, found = r, []
-        for q in self.sums:
+        for q in self.table.met:
             if r % q == 0:
                 found.append(q)
                 r //= q
@@ -132,14 +157,16 @@ class _Residuals:
         else:
             if r > 1:
                 found += self._refine(r)
-        self.pieces[key] = found
+        self.table.pieces[key] = found
+        self.table.met.update(dict.fromkeys(found))
         return found
 
     def _refine(self, c: int) -> list[int]:
-        """A pairwise coprime base of c and of the part of each term made
-        of c's primes, found by gcds alone (factor refinement)."""
+        """A pairwise coprime base of c and of the part of each of the
+        table's base terms made of c's primes, found by gcds alone (factor
+        refinement)."""
         todo = {c}
-        for v in self.t[1:]:
+        for v in self.table.terms():
             part, g = 1, gcd(v, c)
             while g > 1:
                 part *= g
@@ -173,7 +200,8 @@ class _Residuals:
         return sums
 
 
-def is_binomid(f: Sequence, bound: int) -> ClassificationReport:
+def is_binomid(f: Sequence, bound: int, *, table: _PieceTable | None = None
+               ) -> ClassificationReport:
     """Is every [n k] over f an integer, for n up to the bound?
 
     Rows 0 and 1 are integral, and each row n that passes the dual-gcd
@@ -219,11 +247,15 @@ def is_binomid(f: Sequence, bound: int) -> ClassificationReport:
     Fraction entry's product is an exact Fraction, equal to the int on the
     other side only when the identity holds. A failed check is an
     arithmetic bug.
+
+    The residual step keeps its pieces in `table`, a piece table whose
+    base terms every term of f is made of; by default, a new one over f's
+    own terms (see `is_binomid_every_level`).
     """
     eff, reduced, note = _capped(f, bound)
     terms = f.prefix(eff)
     t = [1, *terms]
-    residuals = _Residuals(t)
+    residuals = _Residuals(t, table)
     witness = None
     for n in range(eff + 1):
         if _certified(t, n, residuals):
@@ -254,10 +286,14 @@ def is_binomid_at_level(f: Sequence, c: int, bound: int) -> ClassificationReport
     """
     if c < 0:
         raise ValueError("level must be nonnegative")
+    return _level_report(col_seq(f, c), c, bound)
+
+
+def _level_report(column: Sequence, c: int, bound: int,
+                  table: _PieceTable | None = None) -> ClassificationReport:
     prop = f"binomid_at_level({c})"
-    column = col_seq(f, c)
     try:
-        rep = is_binomid(column, bound)
+        rep = is_binomid(column, bound, table=table)
     except NonIntegralEntryError as exc:
         witness = {"level": c, "n": exc.n, "k": exc.k, "value": exc.value}
         return ClassificationReport(prop, bound, FAILS, witness,
@@ -272,6 +308,22 @@ def is_binomid_every_level(f: Sequence, depth: int, bound: int) -> Classificatio
 
     The row-based check (pyramid slices) and the column-based check must
     agree where they overlap; a value mismatch there is an internal error.
+
+    Each column j <= depth is built once (`col_seq`): the slice check and
+    the column's scan read the same terms. The columns' scans share one
+    piece table (`_PieceTable`), whose refinement reads f's terms up to
+    bound + depth - 1, the last index a scanned column term is made of.
+    A piece of f serves every column. Term N of column j is T =
+    f(N)...f(N+j-1) / (f(1)...f(j)); if every f(i) is q^e(i) u(i) with
+    gcd(u(i), q) = 1, then T = q^E A / B, where A = u(N)...u(N+j-1) and
+    B = u(1)...u(j) are prime to q. If E < 0, q would divide A = T B
+    q^-E; so E >= 0, B divides q^E A and hence A, and T = q^E U with U =
+    A / B an integer prime to q, which is all the residual step asks of
+    a piece. Every prime of a column's residual divides a column term and
+    so some f(i) with i < bound + depth, so refining a cofactor against
+    those terms of f splits it into such pieces. Each column keeps its own
+    sums S_q over its own terms, its own dual-gcd step and its own
+    kernel-built, guarded witness row.
     """
     if depth < 0:
         raise ValueError("depth must be nonnegative")
@@ -293,20 +345,24 @@ def is_binomid_every_level(f: Sequence, depth: int, bound: int) -> Classificatio
         m, n, k, value = bad
         witness = {"slice": m, "n": n, "k": k, "value": value}
         return ClassificationReport(prop, bound, FAILS, witness, note=note)
-    _check_slices_match_columns(f, pyr)
-    for c in range(eff_depth + 1):
-        rep = is_binomid_at_level(f, c, bound)
+    columns = [col_seq(f, c) for c in range(eff_depth + 1)]
+    _check_slices_match_columns(f, pyr, columns)
+    table = _PieceTable(lambda: _run(f, 1, bound + eff_depth - 1))
+    for c, column in enumerate(columns):
+        rep = _level_report(column, c, bound, table)
         if not rep.holds():
             return ClassificationReport(prop, bound, FAILS, rep.witness,
                                         rep.effective_bound, rep.note)
     return ClassificationReport(prop, bound, HOLDS, None, None, note)
 
 
-def _check_slices_match_columns(f: Sequence, pyr) -> None:
-    # row n of slice n+m-1 is row n of the triangle over column m; the two
+def _check_slices_match_columns(f: Sequence, pyr, columns=None) -> None:
+    # row n of slice n+m-1 is row n of the triangle over column m, and
+    # columns[m] is that column where the caller built it already; the two
     # routes are required to agree, so any mismatch is an arithmetic bug
     for m in range(1, pyr.depth + 1):
-        column = triangle(col_seq(f, m), pyr.depth - m + 1)
+        column = col_seq(f, m) if columns is None else columns[m]
+        column = triangle(column, pyr.depth - m + 1)
         for n in range(1, pyr.depth - m + 2):
             if pyr.slice(n + m - 1).row(n) != column.row(n):
                 raise InternalCheckError(

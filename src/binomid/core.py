@@ -16,7 +16,7 @@ from math import prod
 
 from . import _EXPORTS
 from .errors import NonIntegralEntryError, UndefinedTermError
-from .sequences import Sequence, from_list
+from .sequences import Sequence, _run, _with_block, from_list
 
 ExactRational = Fraction
 
@@ -179,6 +179,14 @@ def col_seq(f: Sequence, j: int) -> Sequence:
 
     Lazy; a non-integral entry surfaces on materialization with its witness.
     Column 1 reproduces f itself when f starts with 1.
+
+    Term N is f(N)...f(N+j-1) / (f(1)...f(j)). The block rule computes
+    term lo that way and each later term by the running quotient [N+j j] =
+    [N+j-1 j] f(N+j) / f(N), one divmod per term, reading f's terms in
+    ascending order; column 0 reads none. It stops quietly before the first
+    index whose window of f cannot be read or whose entry is not an
+    integer, and the one-term rule (`fbinom`) then raises there what it
+    raises on a read of that index alone.
     """
     if j < 0:
         raise ValueError("column index must be nonnegative")
@@ -191,7 +199,24 @@ def col_seq(f: Sequence, j: int) -> Sequence:
             raise NonIntegralEntryError(n + j - 1, j, value)
         return value.numerator
 
-    return Sequence(f"col({j},{f.name})", rule, length=length)
+    def block(lo: int, hi: int) -> list[int]:
+        if j == 0:
+            return [1] * (hi - lo + 1)
+        den = _run(f, 1, j)
+        terms = _run(f, lo, hi + j - 1) if len(den) == j else []
+        out = []
+        if len(terms) < j:
+            return out
+        value, rem = divmod(prod(terms[:j]), prod(den))
+        for i in range(j, len(terms) + 1):  # value is term lo + i - j
+            if rem:
+                break
+            out.append(value)
+            if i < len(terms):
+                value, rem = divmod(value * terms[i], terms[i - j])
+        return out
+
+    return _with_block(Sequence(f"col({j},{f.name})", rule, length=length), block)
 
 
 @dataclass(frozen=True)
