@@ -324,6 +324,10 @@ def is_binomid_every_level(f: Sequence, depth: int, bound: int) -> Classificatio
     those terms of f splits it into such pieces. Each column keeps its own
     sums S_q over its own terms, its own dual-gcd step and its own
     kernel-built, guarded witness row.
+
+    A pass holds to the smallest bound any column's scan reached: where a
+    finite f shortens a column, the report carries that bound and its
+    note says so.
     """
     if depth < 0:
         raise ValueError("depth must be nonnegative")
@@ -348,12 +352,18 @@ def is_binomid_every_level(f: Sequence, depth: int, bound: int) -> Classificatio
     columns = [col_seq(f, c) for c in range(eff_depth + 1)]
     _check_slices_match_columns(f, pyr, columns)
     table = _PieceTable(lambda: _run(f, 1, bound + eff_depth - 1))
+    reached = None  # the smallest bound a shortened column scan reached
     for c, column in enumerate(columns):
         rep = _level_report(column, c, bound, table)
         if not rep.holds():
             return ClassificationReport(prop, bound, FAILS, rep.witness,
                                         rep.effective_bound, rep.note)
-    return ClassificationReport(prop, bound, HOLDS, None, None, note)
+        if rep.effective_bound is not None:
+            reached = min(rep.effective_bound, reached or bound)
+    if reached is not None:
+        note = (f"finite sequence: bound reduced to {reached}" if note is None
+                else f"{note}; bound reduced to {reached}")
+    return ClassificationReport(prop, bound, HOLDS, None, reached, note)
 
 
 def _check_slices_match_columns(f: Sequence, pyr, columns=None) -> None:

@@ -838,7 +838,8 @@ class TestClassifyJsonExtras:
 
     def test_notes_are_kept(self, capsys):
         # the notes text output prints in brackets: a vacuous column
-        # refutation, a reduced bound and a reduced depth
+        # refutation, a reduced bound, and a reduced depth with the bound
+        # of column 3, which has one term
         code, out, _ = run(capsys, "classify", "list:1,2,3,4,5,7", "--bound", "5",
                            "--levels", "2", "--only", "binomid_every_level",
                            "--format", "json")
@@ -849,7 +850,9 @@ class TestClassifyJsonExtras:
                            "--format", "json")
         assert code == 0
         assert [rep["note"] for rep in json.loads(out)] == [
-            "finite sequence: bound reduced to 3", "finite sequence: depth reduced to 3"]
+            "finite sequence: bound reduced to 3",
+            "finite sequence: depth reduced to 3; bound reduced to 1"]
+        assert json.loads(out)[1]["bound"] == 1
 
     def test_per_prime_alone(self, capsys):
         code, out, _ = run(capsys, *self.BASE, "--per-prime", "7", "--format", "json")
