@@ -25,8 +25,10 @@ from hypothesis import strategies as st
 import binomid.classify
 import binomid.core
 from binomid import (InternalCheckError, NonIntegralEntryError, Sequence,
-                     divisor_product_of, fbinom, fibonacci, from_list,
-                     is_binomid, per_prime_decomposition, row_seq, triangle)
+                     divisor_product_of, factorial_seq, fbinom, fibonacci, from_list,
+                     g_ab, identity_seq, is_binomid, is_binomid_at_level,
+                     is_binomid_every_level, per_prime_decomposition, row_seq,
+                     triangle, triangular_seq)
 from binomid.cli import main, parse_seqspec
 
 nonzero = st.integers(-40, 40).filter(lambda v: v != 0)
@@ -355,6 +357,113 @@ def refinement_inputs(draw):
     return [1, *terms], r
 
 
+# the bases of the benchmark's --levels jobs
+LEVEL_BASES = ["gq:2", "gq:3", "fib", "lucas:3,2", "lucas:2,-1", "gab:3,2"]
+
+
+@st.composite
+def level_inputs(draw):
+    """A builder of a base that starts with 1, and the depth and bound of a
+    level check over it. The base is I, fib, 2^n - 1, n! or T with each of
+    the primes 2, 3, 5 and 7 kept or replaced by a drawn product of primes
+    past the cap, so that pieces come tied in some terms and apart in
+    others. One term past the depth may take one more such prime, which
+    keeps the pyramid as it was, and where that term lies past the bound,
+    splits a tie only in the terms that columns 2 and up read. The base is unbounded or cut to a drawn
+    length."""
+    make = draw(st.sampled_from([identity_seq, fibonacci, lambda: g_ab(2, 1),
+                                 factorial_seq, triangular_seq]))
+    big = st.sampled_from([1009, 1013, 1019, M61])
+    images = {p: prod(image) for p in (2, 3, 5, 7)
+              if (image := draw(st.lists(big, max_size=3)))}
+    depth, bound = draw(st.integers(0, 4)), draw(st.integers(1, 16))
+    # past every index the pyramid reads, and often past those of column 1
+    late = draw(st.integers(max(depth, bound * draw(st.booleans())) + 1,
+                            bound + depth + 1))
+    extra = draw(st.sampled_from([1, 1009, 1013, 1019]))
+    length = draw(st.none() | st.integers(1, 20))
+
+    def build():
+        f = make()
+
+        def rule(n):
+            v, out = f.term(n), extra if n == late else 1
+            for p, image in images.items():
+                while v % p == 0:
+                    v //= p
+                    out *= image
+            return out * v
+
+        return Sequence("sub", rule, length=length)
+
+    return build, depth, bound
+
+
+def level_steps(f, depth, bound):
+    """Run is_binomid_every_level and return its outcome, each column scan
+    as (c, column, table, report) and each (n, k) the residual step
+    decided as (c, column, residuals, n, k, r, verdict)."""
+    level_report = binomid.classify._level_report
+    certify = binomid.classify._Residuals.certify
+    scanned, decided = [], []
+
+    def spy_level(column, c, bound, table=None):
+        scanned.append([c, column, table, None])
+        scanned[-1][3] = outcome(lambda: level_report(column, c, bound, table))
+        if scanned[-1][3][0] != "ok":
+            raise AssertionError(scanned[-1][3])
+        return scanned[-1][3][1]
+
+    def spy_certify(res, n, k, r):
+        verdict = certify(res, n, k, r)
+        c, column = scanned[-1][:2]
+        decided.append((c, column, res, n, k, r, verdict))
+        return verdict
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(binomid.classify, "_level_report", spy_level)
+        mp.setattr(binomid.classify._Residuals, "certify", spy_certify)
+        result = outcome(lambda: is_binomid_every_level(f, depth, bound))
+    return result, scanned, decided
+
+
+def valuation(v, p):
+    e = 0
+    while v % p == 0:
+        v //= p
+        e += 1
+    return e
+
+
+def check_shared_pieces(f, bound, scanned, decided, factorint):
+    """The columns of one level check share one piece table; each column's
+    terms are [N+c-1 c] over f; its pieces are pairwise coprime and hold
+    exactly the primes of their residual; and every piece q leaves every
+    scanned term of every column as q^E U with gcd(U, q) = 1."""
+    tables = {id(table) for _, _, table, _ in scanned}
+    assert len(tables) <= 1 and id(None) not in tables
+    assert all(res.table is scanned[0][2] for _, _, res, *_ in decided)
+    columns = []
+    for c, column, _, _ in scanned:
+        terms = [v for n, v in sorted(column._terms.items()) if n <= bound]
+        assert terms == [fbinom(f, n + c - 1, c) for n in range(1, len(terms) + 1)]
+        columns.append(terms)
+    if not scanned:
+        return
+    table = scanned[0][2]
+    assert all(q > 1 for q in table.met)
+    assert all(gcd(a, b) == 1 for a, b in combinations(table.met, 2))
+    for r, pieces in table.pieces.items():
+        assert set(pieces) <= set(table.met)
+        assert set().union(*map(factorint, pieces)) == set(factorint(r))
+    for q in table.met:
+        primes = factorint(q).items()
+        for terms in columns:
+            for v in terms:
+                exponents = {divmod(valuation(v, p), e) for p, e in primes}
+                assert len(exponents) == 1 and exponents.pop()[1] == 0, (q, v)
+
+
 class TestResidualPieces:
     """`_Residuals` checked alone against sympy's factorizations: the pieces
     of a residual are pairwise coprime, hold exactly its primes, and the
@@ -380,6 +489,44 @@ class TestResidualPieces:
                         v //= p
                         total += 1
                     assert sums[m] * v_q == total
+
+
+    @pytest.mark.parametrize("spec", LEVEL_BASES)
+    def test_shared_pieces_over_level_bases(self, spec):
+        factorint = pytest.importorskip("sympy", minversion="1.13").factorint
+        f = parse_seqspec(spec).build()
+        result, scanned, decided = level_steps(f, 4, 40)
+        assert result[0] == "ok" and len(scanned) == 5
+        check_shared_pieces(f, 40, scanned, decided, factorint)
+
+    def test_a_tie_that_only_a_later_column_splits(self):
+        # T with 2 replaced by 1009 * 1013, and 1009 once more in f(13): the
+        # scan of column 1 reads f(1..12), where the pair is tied, and
+        # refines a residual made of it; column 2 reads f(13), so the
+        # pieces must come apart there
+        factorint = pytest.importorskip("sympy", minversion="1.13").factorint
+
+        def rule(n):
+            v, out = n * (n + 1) // 2, 1009 if n == 13 else 1
+            while v % 2 == 0:
+                v //= 2
+                out *= 1009 * 1013
+            return out * v
+
+        f = Sequence("t_split", rule)
+        result, scanned, decided = level_steps(f, 2, 12)
+        assert result[1].witness["level"] == 2
+        assert {1009, 1013} <= set(scanned[0][2].met)
+        check_shared_pieces(f, 12, scanned, decided, factorint)
+
+    @settings(max_examples=150, deadline=None)
+    @given(level_inputs())
+    def test_shared_pieces_over_drawn_bases(self, drawn):
+        factorint = pytest.importorskip("sympy", minversion="1.13").factorint
+        build, depth, bound = drawn
+        f = build()
+        result, scanned, decided = level_steps(f, depth, bound)
+        check_shared_pieces(f, bound, scanned, decided, factorint)
 
 
 class TestCertifyAgainstKnuthWilf:
@@ -417,6 +564,38 @@ class TestCertifyAgainstKnuthWilf:
             assert verdict == all(s(p, n) - s(p, k) - s(p, n - k) >= 0
                                   for p in factorint(r)), (t, n, k, r)
             assert verdict == (fbinom(f, n, k).denominator == 1), (t, n, k, r)
+
+    @staticmethod
+    def check_level_steps(build, depth, bound, factorint):
+        # each decided k of each column against the Knuth-Wilf count over
+        # that column's terms, and each column's report against the same
+        # level checked alone, with a piece table of its own
+        result, scanned, decided = level_steps(build(), depth, bound)
+        for c, column, res, n, k, r, verdict in decided:
+            t = res.t
+
+            def s(p, m):
+                return sum(valuation(v, p) for v in t[1:m + 1])
+
+            assert verdict == all(s(p, n) - s(p, k) - s(p, n - k) >= 0
+                                  for p in factorint(r)), (c, t, n, k, r)
+            assert verdict == (fbinom(column, n, k).denominator == 1), (c, t, n, k, r)
+        for c, _, _, report in scanned:
+            assert report == outcome(lambda: is_binomid_at_level(build(), c, bound))
+        return result, decided
+
+    @pytest.mark.parametrize("spec", LEVEL_BASES)
+    def test_each_decided_k_over_level_bases(self, spec):
+        factorint = pytest.importorskip("sympy", minversion="1.13").factorint
+        result, decided = self.check_level_steps(parse_seqspec(spec).build, 4, 40,
+                                                 factorint)
+        assert result[0] == "ok" and decided
+
+    @settings(max_examples=150, deadline=None)
+    @given(level_inputs())
+    def test_each_decided_k_over_drawn_bases(self, drawn):
+        factorint = pytest.importorskip("sympy", minversion="1.13").factorint
+        self.check_level_steps(*drawn, factorint)
 
 
 class TestPerPrimeAgainstAllRows:

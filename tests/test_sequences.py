@@ -9,12 +9,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from binomid import (Sequence, UndefinedTermError, ZeroTermError,
+from binomid import (Sequence, UndefinedTermError, ZeroTermError, col_seq,
                      compose_power, const_seq, cyclotomic_eval,
                      divisor_product_of, divisors, double_terms, factorial_seq,
                      fibonacci, from_list, g_ab, h_m, identity_seq,
                      interleave_ones, lucas, pascal_column, pascal_row,
                      power_seq, prepend_one, product, scalar, triangular_seq)
+from binomid.cli import main
+from binomid.errors import SequenceError
 from binomid.sequences import _Terms
 
 nonzero_ints = st.integers(-50, 50).filter(lambda v: v != 0)
@@ -516,7 +518,8 @@ small_terms = st.lists(st.sampled_from([0, 1, -1, 2, 3, -2, 5]), min_size=1, max
 
 def spec_trees(depth):
     """Specs over finite recorded lists: ("list", values), ("raise", values,
-    r) whose rule raises ValueError at index r, and every combinator."""
+    r) whose rule raises ValueError at index r, every combinator, and
+    ("col", j, inner), the column j of the triangle of inner."""
     leaf = st.one_of(st.tuples(st.just("list"), small_terms),
                      st.tuples(st.just("raise"), small_terms, st.integers(1, 16)))
     if depth == 0:
@@ -527,17 +530,34 @@ def spec_trees(depth):
         st.tuples(st.sampled_from(["P", "prepend1", "interleave1", "double"]), inner),
         st.tuples(st.just("product"), inner, inner),
         st.tuples(st.just("scalar"), st.sampled_from([-3, -1, 2]), inner),
-        st.tuples(st.just("pow"), st.integers(0, 3), inner))
+        st.tuples(st.just("pow"), st.integers(0, 3), inner),
+        st.tuples(st.just("col"), st.integers(0, 4), inner))
 
 
 _UNARY = {"P": divisor_product_of, "prepend1": prepend_one,
           "interleave1": interleave_ones, "double": double_terms}
 
 
-def build_tree(tree, nodes):
-    """The sequence of `tree`; every node is appended to `nodes`, inner first."""
+def build_tree(tree, nodes, blocks=True):
+    """The sequence of `tree`; every node is appended to `nodes`, inner
+    first. With `blocks` false each node's block rule is taken off as it is
+    built, before an outer node reads it.
+
+    A column needs an inner sequence whose first term is 1; where that
+    term is not 1 or cannot be read, the column is taken over
+    prepend1(inner)."""
     kind = tree[0]
-    if kind in ("list", "raise"):
+    if kind == "col":
+        inner = build_tree(tree[2], nodes, blocks)
+        try:
+            seq = col_seq(inner, tree[1])
+        except (SequenceError, ValueError):
+            inner = prepend_one(inner)
+            if not blocks:
+                inner._terms._block = None
+            nodes.append(inner)
+            seq = col_seq(inner, tree[1])
+    elif kind in ("list", "raise"):
         values, fail_at = tree[1], (tree[2] if kind == "raise" else None)
 
         def rule(n):
@@ -546,23 +566,22 @@ def build_tree(tree, nodes):
             return values[n - 1]
         seq = Sequence(kind, rule, length=len(values))
     elif kind in _UNARY:
-        seq = _UNARY[kind](build_tree(tree[1], nodes))
+        seq = _UNARY[kind](build_tree(tree[1], nodes, blocks))
     elif kind == "product":
-        seq = product(build_tree(tree[1], nodes), build_tree(tree[2], nodes))
+        seq = product(build_tree(tree[1], nodes, blocks), build_tree(tree[2], nodes, blocks))
     elif kind == "scalar":
-        seq = scalar(tree[1], build_tree(tree[2], nodes))
+        seq = scalar(tree[1], build_tree(tree[2], nodes, blocks))
     else:
-        seq = compose_power(tree[1], build_tree(tree[2], nodes))
+        seq = compose_power(tree[1], build_tree(tree[2], nodes, blocks))
+    if not blocks:
+        seq._terms._block = None
     nodes.append(seq)
     return seq
 
 
 def one_term_tree(tree, nodes):
     """`build_tree` with the block rules taken off: every term by its rule."""
-    seq = build_tree(tree, nodes)
-    for node in nodes:
-        node._terms._block = None
-    return seq
+    return build_tree(tree, nodes, blocks=False)
 
 
 @st.composite
@@ -585,7 +604,7 @@ class TestBlockRoute:
     def read(read):
         try:
             return read()
-        except (ZeroTermError, UndefinedTermError, ValueError) as exc:
+        except (SequenceError, ValueError) as exc:
             return type(exc), str(exc), getattr(exc, "index", None)
 
     def first_failure(self, f, n):
@@ -626,6 +645,18 @@ class TestBlockRoute:
         for n in range(400, 300, -1):
             assert f.term(n) == 3 * n * (n + 1) // 2
         assert sorted(f._terms) == list(range(301, 401))
+
+    # the column reads f's terms in a block, quietly, and a zero among
+    # them is raised by the one-term rule, which reads f(N..N+j-1) and then
+    # f(1..j); a walk of the kernel's rows would report 6 for the first
+    # and a column that extends a prefix 3 for the second
+    @pytest.mark.parametrize("spec, index", [
+        ("row(4,col(3,product(lucas:3,3,lucas:2,2)))", 4),
+        ("row(6,col(2,lucas:1,1))", 6)])
+    def test_nested_column_reports_the_zero_of_its_one_term_rule(self, capsys, spec,
+                                                                  index):
+        assert main(["triangle", spec, "--rows", "1"]) == 2
+        assert capsys.readouterr() == ("", f"error: term at index {index} is zero\n")
 
     @pytest.mark.parametrize("wrap", [lambda f: scalar(2, f), divisor_product_of,
                                       lambda f: product(f, identity_seq())],
