@@ -83,23 +83,17 @@ _PRIME_CAP = 1000  # the residual step trial-divides residuals by the primes up 
 
 class _PieceTable:
     """The pieces that the residual steps over one base sequence share: each
-    residual's pieces, the pieces met so far in the order met, and the
-    base's terms that factor refinement reads, fetched by `read` on first
-    need. `is_binomid` keeps one over its own terms; the columns of one
+    residual's pieces, the pieces met so far in the order met, and
+    `terms()`, the base's terms, which factor refinement reads. `is_binomid`
+    keeps one over its own terms; the columns of one
     `is_binomid_every_level` share one over f's terms."""
 
-    __slots__ = ("pieces", "met", "_read", "_terms")
+    __slots__ = ("pieces", "met", "terms")
 
-    def __init__(self, read):
+    def __init__(self, terms):
         self.pieces = {}  # residual -> its pieces
         self.met = {}  # piece -> None, in the order the pieces are met
-        self._read = read
-        self._terms = None
-
-    def terms(self) -> list[int]:
-        if self._terms is None:
-            self._terms = self._read()
-        return self._terms
+        self.terms = terms
 
 
 class _Residuals:
@@ -119,11 +113,11 @@ class _Residuals:
         self.t = t
         self.sums = {}  # q -> [S_q(0), ..., S_q(len(t) - 1)]
         self.table = _PieceTable(lambda: t[1:]) if table is None else table
+        self.pieces = self.table.pieces
 
     def certify(self, n: int, k: int, r: int) -> bool:
         """Is [n k] an integer, given that row n-1 is and r = r_k?"""
-        table = self.table
-        pieces = table.pieces[r] if r in table.pieces else self._pieces(r)
+        pieces = self.pieces[r] if r in self.pieces else self._pieces(r)
         for q in pieces:
             s = self.sums[q] if q in self.sums else self._sums(q)
             if s[n] < s[k] + s[n - k]:
@@ -157,7 +151,7 @@ class _Residuals:
         else:
             if r > 1:
                 found += self._refine(r)
-        self.table.pieces[key] = found
+        self.pieces[key] = found
         self.table.met.update(dict.fromkeys(found))
         return found
 
@@ -371,8 +365,8 @@ def _check_slices_match_columns(f: Sequence, pyr, columns=None) -> None:
     # columns[m] is that column where the caller built it already; the two
     # routes are required to agree, so any mismatch is an arithmetic bug
     for m in range(1, pyr.depth + 1):
-        column = col_seq(f, m) if columns is None else columns[m]
-        column = triangle(column, pyr.depth - m + 1)
+        column = triangle(col_seq(f, m) if columns is None else columns[m],
+                          pyr.depth - m + 1)
         for n in range(1, pyr.depth - m + 2):
             if pyr.slice(n + m - 1).row(n) != column.row(n):
                 raise InternalCheckError(

@@ -1,12 +1,12 @@
 """The integer-sequence abstraction plus its constructors and combinators.
 
 Sequences are 1-indexed, lazily materialized, and memoized. Every
-materialized term must be a nonzero integer. `P(...)` and the pointwise
-combinators also compute their terms in blocks, and a read of a missing
-term of theirs that follows the stored terms fills ahead to about twice its
-index. Querying a finite sequence past its end raises UndefinedTermError,
-which is deliberately distinct from the arithmetic failure of a rule
-producing zero.
+materialized term must be a nonzero integer. `P(...)`, the pointwise
+combinators and the columns of `core.col_seq` also compute their terms in
+blocks, and a read of a missing term of theirs that follows the stored
+terms fills ahead to about twice its index. Querying a finite sequence
+past its end raises UndefinedTermError, which is deliberately distinct
+from the arithmetic failure of a rule producing zero.
 """
 
 from __future__ import annotations
@@ -31,9 +31,10 @@ class _Terms(dict):
     read. The store holds the rule but never its `Sequence`, so scans may
     read it directly and no reference cycle keeps the terms alive.
 
-    A combinator or `P(...)` store also holds a block rule, `_block(lo,
-    hi)`, which returns the terms lo, lo+1, ... up to hi at once, or a
-    shorter list where an inner sequence could not give a term. A miss at
+    A combinator, `P(...)` or column store also holds a block rule,
+    `_block(lo, hi)`, which returns the terms lo, lo+1, ... up to hi at
+    once, or a shorter list where an inner sequence could not give a term
+    (or, for a column, where an entry is not an integer). A miss at
     n where n - 1 is stored (or n = 1) then fills n..2n by the block rule
     (`_fill`) before n is read, so a scan that reads 1..N in order computes
     at most about 2N terms; any other miss computes n alone. The one-term
