@@ -368,9 +368,9 @@ def level_inputs(draw):
     the primes 2, 3, 5 and 7 kept or replaced by a drawn product of primes
     past the cap, so that pieces come tied in some terms and apart in
     others. One term past the depth may take one more such prime, which
-    keeps the pyramid as it was, and where that term lies past the bound,
-    splits a tie only in the terms that columns 2 and up read. The base is unbounded or cut to a drawn
-    length."""
+    keeps the pyramid as it was; where that term lies past the bound, it
+    splits a tie only in the terms that columns 2 and up read. The base is
+    unbounded or cut to a drawn length."""
     make = draw(st.sampled_from([identity_seq, fibonacci, lambda: g_ab(2, 1),
                                  factorial_seq, triangular_seq]))
     big = st.sampled_from([1009, 1013, 1019, M61])
@@ -409,10 +409,13 @@ def level_steps(f, depth, bound):
 
     def spy_level(column, c, bound, table=None):
         scanned.append([c, column, table, None])
-        scanned[-1][3] = outcome(lambda: level_report(column, c, bound, table))
-        if scanned[-1][3][0] != "ok":
-            raise AssertionError(scanned[-1][3])
-        return scanned[-1][3][1]
+        try:
+            report = level_report(column, c, bound, table)
+        except Exception as exc:  # noqa: BLE001 - recorded as `outcome` records it
+            scanned[-1][3] = (type(exc).__name__, str(exc))
+            raise
+        scanned[-1][3] = ("ok", report)
+        return report
 
     def spy_certify(res, n, k, r):
         verdict = certify(res, n, k, r)
@@ -440,17 +443,16 @@ def check_shared_pieces(f, bound, scanned, decided, factorint):
     terms are [N+c-1 c] over f; its pieces are pairwise coprime and hold
     exactly the primes of their residual; and every piece q leaves every
     scanned term of every column as q^E U with gcd(U, q) = 1."""
-    tables = {id(table) for _, _, table, _ in scanned}
-    assert len(tables) <= 1 and id(None) not in tables
-    assert all(res.table is scanned[0][2] for _, _, res, *_ in decided)
+    if not scanned:
+        return
+    table = scanned[0][2]
+    assert table is not None and all(entry[2] is table for entry in scanned)
+    assert all(res.table is table for _, _, res, *_ in decided)
     columns = []
     for c, column, _, _ in scanned:
         terms = [v for n, v in sorted(column._terms.items()) if n <= bound]
         assert terms == [fbinom(f, n + c - 1, c) for n in range(1, len(terms) + 1)]
         columns.append(terms)
-    if not scanned:
-        return
-    table = scanned[0][2]
     assert all(q > 1 for q in table.met)
     assert all(gcd(a, b) == 1 for a, b in combinations(table.met, 2))
     for r, pieces in table.pieces.items():
@@ -489,7 +491,6 @@ class TestResidualPieces:
                         v //= p
                         total += 1
                     assert sums[m] * v_q == total
-
 
     @pytest.mark.parametrize("spec", LEVEL_BASES)
     def test_shared_pieces_over_level_bases(self, spec):

@@ -568,7 +568,8 @@ def build_tree(tree, nodes, blocks=True):
     elif kind in _UNARY:
         seq = _UNARY[kind](build_tree(tree[1], nodes, blocks))
     elif kind == "product":
-        seq = product(build_tree(tree[1], nodes, blocks), build_tree(tree[2], nodes, blocks))
+        seq = product(build_tree(tree[1], nodes, blocks),
+                      build_tree(tree[2], nodes, blocks))
     elif kind == "scalar":
         seq = scalar(tree[1], build_tree(tree[2], nodes, blocks))
     else:
