@@ -194,8 +194,7 @@ class _Residuals:
         return sums
 
 
-def is_binomid(f: Sequence, bound: int, *, table: _PieceTable | None = None
-               ) -> ClassificationReport:
+def is_binomid(f: Sequence, bound: int) -> ClassificationReport:
     """Is every [n k] over f an integer, for n up to the bound?
 
     Rows 0 and 1 are integral, and each row n that passes the dual-gcd
@@ -241,11 +240,14 @@ def is_binomid(f: Sequence, bound: int, *, table: _PieceTable | None = None
     Fraction entry's product is an exact Fraction, equal to the int on the
     other side only when the identity holds. A failed check is an
     arithmetic bug.
-
-    The residual step keeps its pieces in `table`, a piece table whose
-    base terms every term of f is made of; by default, a new one over f's
-    own terms (see `is_binomid_every_level`).
     """
+    return _scan(f, bound, None)
+
+
+def _scan(f: Sequence, bound: int, table: _PieceTable | None) -> ClassificationReport:
+    # `is_binomid`, with the residual step's pieces kept in `table`, a piece
+    # table whose base terms every term of f is made of, or in a new one
+    # over f's own terms when it is None (see `is_binomid_every_level`)
     eff, reduced, note = _capped(f, bound)
     terms = f.prefix(eff)
     t = [1, *terms]
@@ -287,7 +289,7 @@ def _level_report(column: Sequence, c: int, bound: int,
                   table: _PieceTable | None = None) -> ClassificationReport:
     prop = f"binomid_at_level({c})"
     try:
-        rep = is_binomid(column, bound, table=table)
+        rep = _scan(column, bound, table)
     except NonIntegralEntryError as exc:
         witness = {"level": c, "n": exc.n, "k": exc.k, "value": exc.value}
         return ClassificationReport(prop, bound, FAILS, witness,
@@ -344,7 +346,7 @@ def is_binomid_every_level(f: Sequence, depth: int, bound: int) -> Classificatio
         witness = {"slice": m, "n": n, "k": k, "value": value}
         return ClassificationReport(prop, bound, FAILS, witness, note=note)
     columns = [col_seq(f, c) for c in range(eff_depth + 1)]
-    _check_slices_match_columns(f, pyr, columns)
+    _check_slices_match_columns(pyr, columns)
     table = _PieceTable(lambda: _run(f, 1, bound + eff_depth - 1))
     reached = None  # the smallest bound a shortened column scan reached
     for c, column in enumerate(columns):
@@ -360,13 +362,12 @@ def is_binomid_every_level(f: Sequence, depth: int, bound: int) -> Classificatio
     return ClassificationReport(prop, bound, HOLDS, None, reached, note)
 
 
-def _check_slices_match_columns(f: Sequence, pyr, columns=None) -> None:
-    # row n of slice n+m-1 is row n of the triangle over column m, and
-    # columns[m] is that column where the caller built it already; the two
-    # routes are required to agree, so any mismatch is an arithmetic bug
+def _check_slices_match_columns(pyr, columns: list[Sequence]) -> None:
+    # row n of slice n+m-1 is row n of the triangle over column m =
+    # columns[m]; the two routes are required to agree, so any mismatch is
+    # an arithmetic bug
     for m in range(1, pyr.depth + 1):
-        column = triangle(col_seq(f, m) if columns is None else columns[m],
-                          pyr.depth - m + 1)
+        column = triangle(columns[m], pyr.depth - m + 1)
         for n in range(1, pyr.depth - m + 2):
             if pyr.slice(n + m - 1).row(n) != column.row(n):
                 raise InternalCheckError(

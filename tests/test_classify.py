@@ -159,13 +159,15 @@ class TestSlicesMatchColumnsIsLive:
 
     def test_intact_pyramid_passes(self):
         pyr = binomid.classify.pyramid(fibonacci(), 6)
-        assert binomid.classify._check_slices_match_columns(fibonacci(), pyr) is None
+        assert binomid.classify._check_slices_match_columns(
+            pyr, [col_seq(fibonacci(), m) for m in range(7)]) is None
 
     @pytest.mark.parametrize("s, n, k", [(1, 1, 0), (3, 2, 1), (6, 6, 3), (6, 1, 1)])
     def test_one_corrupted_entry_is_caught(self, s, n, k):
         pyr = _bump_slice_entry(binomid.classify.pyramid(fibonacci(), 6), s, n, k)
         with pytest.raises(InternalCheckError, match=f"slice {s} row {n} "):
-            binomid.classify._check_slices_match_columns(fibonacci(), pyr)
+            binomid.classify._check_slices_match_columns(
+                pyr, [col_seq(fibonacci(), m) for m in range(7)])
 
     def test_classify_levels_exits_3(self, capsys, monkeypatch):
         original = binomid.classify.pyramid
