@@ -50,6 +50,8 @@ def _capped(f: Sequence, bound: int) -> tuple[int, int | None, str | None]:
     if bound < 1:
         raise ValueError("bound must be positive")
     if f.length is not None and f.length < bound:
+        if not f.length:
+            f._terms[1]  # no terms: raises as a read of term 1 does
         return f.length, f.length, f"finite sequence: bound reduced to {f.length}"
     return bound, None, None
 
@@ -348,14 +350,13 @@ def is_binomid_every_level(f: Sequence, depth: int, bound: int) -> Classificatio
     columns = [col_seq(f, c) for c in range(eff_depth + 1)]
     _check_slices_match_columns(pyr, columns)
     table = _PieceTable(lambda: _run(f, 1, bound + eff_depth - 1))
-    reached = None  # the smallest bound a shortened column scan reached
     for c, column in enumerate(columns):
         rep = _level_report(column, c, bound, table)
         if not rep.holds():
             return ClassificationReport(prop, bound, FAILS, rep.witness,
                                         rep.effective_bound, rep.note)
-        if rep.effective_bound is not None:
-            reached = min(rep.effective_bound, reached or bound)
+    # a finite f's column c is one term shorter than column c - 1, so rep's bound is least
+    reached = rep.effective_bound
     if reached is not None:
         note = (f"finite sequence: bound reduced to {reached}" if note is None
                 else f"{note}; bound reduced to {reached}")

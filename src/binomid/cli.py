@@ -517,45 +517,38 @@ def _print_check(result: ver.CheckResult) -> int:
     return 0 if result.ok else 1
 
 
-# (check, help, takes a spec, integer options with their defaults, runner);
-# a default of ... marks a required option. A runner gets the verify
-# module, the parsed arguments and the built sequence (None without a
-# spec) and returns a CheckResult, or an ExponentVector to print as a
-# monomial.
+# (check, help, takes a spec, integer options with their defaults, checker);
+# a default of ... marks a required option. The checker is the function of
+# binomid.verify that runs the check, called with the built sequence first,
+# as f, when the row takes a spec, and then every option by name; it
+# returns a CheckResult, or an ExponentVector to print as a monomial.
 _VERIFY = (
     ("symmetry", "3-fold rotation of a palindromic triangle", True, {},
-     lambda v, a, f: v.check_symmetry(f)),
+     "check_symmetry"),
     ("slice-identity", "columns appear as pyramid slices", True,
-     {"n_max": 6, "m_max": 4, "k_max": 6},
-     lambda v, a, f: v.check_slice_identity(f, a.n_max, a.m_max, a.k_max)),
+     {"n_max": 6, "m_max": 4, "k_max": 6}, "check_slice_identity"),
     ("determinant", "binomial determinant identity", False,
-     {"n": ..., "m": ..., "k": ...},
-     lambda v, a, f: v.check_determinant_identity(a.n, a.m, a.k)),
+     {"n": ..., "m": ..., "k": ...}, "check_determinant_identity"),
     ("recurrence", "two-term recurrence step identity", True,
-     {"n": ..., "k": ..., "u": None, "v": None},
-     lambda v, a, f: v.check_recurrence_step(f, a.n, a.k, a.u, a.v)),
+     {"n": ..., "k": ..., "u": None, "v": None}, "check_recurrence_step"),
     ("hm", "factorial and binomial identity for comb(mx, m)", False,
-     {"m": ..., "n": ..., "k": ...},
-     lambda v, a, f: v.check_hm_identity(a.m, a.n, a.k)),
+     {"m": ..., "n": ..., "k": ...}, "check_hm_identity"),
     ("delta-pattern", "zeros-then-ones pattern of delta", False,
-     {"m": ..., "r": ..., "length": ...},
-     lambda v, a, f: v.check_delta_pattern(a.m, a.r, a.length)),
+     {"m": ..., "r": ..., "length": ...}, "check_delta_pattern"),
     ("window-minimality", "initial window is minimal", False,
-     {"m": ..., "r": ..., "n_max": 18, "a_max": 18},
-     lambda v, a, f: v.check_window_minimality(a.m, a.r, a.n_max, a.a_max)),
+     {"m": ..., "r": ..., "n_max": 18, "a_max": 18}, "check_window_minimality"),
     ("pyramid-entry", "generic column-entry exponents", False,
-     {"m": ..., "n": ..., "k": ...},
-     lambda v, a, f: v.generic_pyramid_entry(a.m, a.n, a.k)),
+     {"m": ..., "n": ..., "k": ...}, "generic_pyramid_entry"),
     ("factorial-exponents", "generic factorial exponents", False,
-     {"n": ...},
-     lambda v, a, f: v.generic_factorial_exponents(a.n)),
+     {"n": ...}, "generic_factorial_exponents"),
 )
 
 
 def _cmd_verify(args) -> int:
     from . import verify as ver
-    seq = _build_sequence(args)[1] if "spec" in vars(args) else None
-    result = args.run(ver, args, seq)
+    seq = [_build_sequence(args)[1]] if "spec" in vars(args) else []
+    # looked up when the command runs, so a replaced module attribute is what runs
+    result = getattr(ver, args.checker)(*seq, **{o: getattr(args, o) for o in args.options})
     if isinstance(result, ver.CheckResult):
         return _print_check(result)
     print(_monomial_text(result))
@@ -608,7 +601,7 @@ def _build_arg_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("verify", help="run one identity checker")
     vsub = p.add_subparsers(dest="check", required=True)
-    for check, help_text, takes_spec, options, run in _VERIFY:
+    for check, help_text, takes_spec, options, checker in _VERIFY:
         v = vsub.add_parser(check, help=help_text)
         if takes_spec:
             _add_spec_argument(v)
@@ -618,7 +611,7 @@ def _build_arg_parser() -> argparse.ArgumentParser:
                 v.add_argument(flag, type=int, required=True)
             else:
                 v.add_argument(flag, type=int, default=default)
-        v.set_defaults(handler=_cmd_verify, run=run)
+        v.set_defaults(handler=_cmd_verify, checker=checker, options=options)
 
     return parser
 

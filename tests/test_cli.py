@@ -796,6 +796,16 @@ class TestErrorsPrintNoReports:
         assert out == ""
         assert err == f"error: {message}\n"
 
+    @pytest.mark.parametrize("only", [*cls.PROPERTIES, None])
+    @pytest.mark.parametrize("extra", [[], ["--per-prime", "5"], ["--profile"]])
+    @pytest.mark.parametrize("fmt", ["text", "json"])
+    def test_a_sequence_with_no_terms_exits_2(self, capsys, only, extra, fmt):
+        # col(3, f) of a two-term f has no terms: every scan reads term 1
+        argv = ["classify", "col(3,list:1,2)", "--bound", "3", "--format", fmt,
+                *extra, *(["--only", only] if only else [])]
+        assert run(capsys, *argv) == (
+            2, "", "error: col(3,list:1,2): term 1 is undefined\n")
+
 
 class TestParserReuse:
     ARGVS = (

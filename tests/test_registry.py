@@ -1,15 +1,17 @@
-"""The property battery and the spec grammar each live in one table; these
-tests tie the tables to the classifiers, the CLI and the README."""
+"""The property battery, the spec grammar and the `verify` checks each live
+in one table; these tests tie the tables to the classifiers, the checkers,
+the CLI and the README."""
 
 import ast
+import inspect
 import re
 from fractions import Fraction
 from pathlib import Path
 
 import pytest
 
-from binomid import classify, identity_seq
-from binomid.cli import _KINDS, _TOKENS, main
+from binomid import classify, identity_seq, verify
+from binomid.cli import _KINDS, _TOKENS, _VERIFY, main
 
 README = Path(__file__).resolve().parents[1] / "README.md"
 
@@ -23,6 +25,18 @@ def test_only_rejection_lists_the_battery(capsys):
     assert main(["classify", "I", "--bound", "5", "--only", "sparkly"]) == 2
     listed = capsys.readouterr().err.strip().split("choose from ")[1].split(", ")
     assert sorted(listed) == sorted(classify.PROPERTIES + ("binomid_every_level",))
+
+
+@pytest.mark.parametrize("row", _VERIFY, ids=[row[0] for row in _VERIFY])
+def test_each_verify_row_names_its_checker(row):
+    # `verify` calls the named checker with the built sequence first, as f,
+    # when the row takes a spec, and then every option by name
+    _, _, takes_spec, options, checker = row
+    params = inspect.signature(getattr(verify, checker)).parameters
+    assert list(params) == ["f"] * takes_spec + list(options)
+    for name, default in options.items():
+        if default is ...:  # a required option
+            assert params[name].default is inspect.Parameter.empty
 
 
 def test_every_argument_kind_has_one_token():
